@@ -39,6 +39,11 @@ from repro.core.reuse import QueryStateHandle
 from repro.errors import EstimationError
 from repro.obs import NULL_OBS, Observability
 
+_SCALAR_CLASSIFY_MAX = 32
+"""Neighborhood size up to which :meth:`LevelByLevelOracle._bucket` loops
+scalar instead of paying the numpy array round-trips.  Pure perf
+threshold: both branches are element-wise bit-identical."""
+
 
 class QueryContext:
     """Memoised API knowledge scoped to one aggregate query.
@@ -336,16 +341,17 @@ class LevelByLevelOracle:
         return draw < self.keep_intra_fraction
 
     def _bucket(self, mentions: List[Optional[float]]) -> List[Optional[int]]:
-        """Level per mention time (None passes through), vectorised.
+        """Level per mention time (None passes through).
 
-        ``levels_of_array`` is element-wise identical to scalar
-        ``level_of`` calls (same IEEE float64 operations — see
-        :mod:`repro.core.levels`), so batch and sequential classification
-        produce the same buckets bit for bit.  Indexes without the array
-        method fall back to scalar calls.
+        Neighborhoods up to :data:`_SCALAR_CLASSIFY_MAX` loop scalar
+        ``level_of``; larger ones pay one ``levels_of_array`` call.  The
+        two are element-wise identical (same IEEE float64 operations — see
+        :mod:`repro.core.levels`), so the size only moves the speed
+        crossover, never a bucket.  Indexes without the array method
+        always loop scalar.
         """
         levels_of_array = getattr(self.index, "levels_of_array", None)
-        if levels_of_array is None:
+        if levels_of_array is None or len(mentions) <= _SCALAR_CLASSIFY_MAX:
             level_of = self.index.level_of
             return [None if m is None else level_of(m) for m in mentions]
         out: List[Optional[int]] = [None] * len(mentions)
@@ -360,49 +366,36 @@ class LevelByLevelOracle:
         return out
 
     def _classify(self, user_id: int) -> None:
-        kernel = getattr(self.context, "kernel", None)
-        if (
-            kernel is not None
-            and self.keep_intra_fraction == 0.0
-            and getattr(self.index, "levels_of_array", None) is not None
-        ):
-            # Fused batch classification: one pass resolves the whole
-            # neighborhood (first mentions, levels, up/down split) with
-            # identical memo writes, charges and telemetry.  Intra-edge
-            # retention keeps the interpreted loop — the kept-edge draws
-            # are per-edge decisions the masks don't model.
-            kernel.classify(self, user_id)
-            return
+        """Split *user_id*'s neighborhood into kept / up / down lists.
+
+        One body for every client stack: ``first_mentions`` resolves the
+        whole neighborhood in one call (the kernel's column batch when it
+        resolved, the fast path's or per-user fetches otherwise, with
+        identical charges), and every bucketed neighbor's level lands in
+        the level memo.
+        """
         own_level = self.level_of(user_id)
-        if own_level is None:
-            self._cache[user_id] = []
-            self._up[user_id] = []
-            self._down[user_id] = []
-            self._note_classified(user_id, None, 0, 0)
-            self.classify_epoch += 1
-            return
-        # One batched call resolves every neighbor's first mention (and
-        # therefore its level): a single vectorised column lookup on the
-        # fast path, per-user fetches with identical charges otherwise.
-        neighbors = self.context.connections(user_id)
-        levels = self._bucket(self.context.first_mentions(neighbors))
         all_neighbors: List[int] = []
         up: List[int] = []
         down: List[int] = []
-        level_memo = self._levels
-        for v, level in zip(neighbors, levels):
-            level_memo[v] = level
-            if level is None:
-                continue
-            if level == own_level:
-                if self._keep_intra_edge(user_id, v):
-                    all_neighbors.append(v)
-                continue
-            all_neighbors.append(v)
-            if level < own_level:
-                up.append(v)
-            else:
-                down.append(v)
+        if own_level is not None:
+            neighbors = self.context.connections(user_id)
+            levels = self._bucket(self.context.first_mentions(neighbors))
+            level_memo = self._levels
+            keep_intra = self.keep_intra_fraction > 0.0
+            for v, level in zip(neighbors, levels):
+                level_memo[v] = level
+                if level is None:
+                    continue
+                if level == own_level:
+                    if keep_intra and self._keep_intra_edge(user_id, v):
+                        all_neighbors.append(v)
+                    continue
+                all_neighbors.append(v)
+                if level < own_level:
+                    up.append(v)
+                else:
+                    down.append(v)
         self._cache[user_id] = all_neighbors
         self._up[user_id] = up
         self._down[user_id] = down

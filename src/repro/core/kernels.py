@@ -1,16 +1,17 @@
-"""Compiled walk kernels: the batched hot loop behind the interpreted walkers.
+"""Compiled walk kernels: batched column reads under the walk loop.
 
 PR 5's fast path (:mod:`repro.api.fastpath`) flattened the *client stack*;
-this module flattens the *walk loop on top of it*.  :func:`resolve_kernel`
-inspects a :class:`~repro.core.graph_builder.QueryContext` once per query
-and, when the fast path resolved and the store's columns are clean 1-D
-contiguous int64/float64 arrays, returns a :class:`KernelOps` providing
+this module flattens the per-user reads *on top of it*.
+:func:`resolve_kernel` inspects a
+:class:`~repro.core.graph_builder.QueryContext` once per query and, when
+the fast path resolved and the store's columns are clean 1-D contiguous
+int64/float64 arrays, returns a :class:`KernelOps` providing
 
-* **fused batch classification** — one pass resolves a node's whole
-  neighborhood: batched ``timeline_lengths`` + first-mention
-  ``searchsorted`` over the frozen columns, ``levels_of_array`` level
-  bucketing and the up/down split as numpy masks, replacing the
-  per-neighbor python loop of ``LevelByLevelOracle._classify``;
+* **batched first mentions** — ``resolve_mentions`` answers a whole
+  neighborhood from the frozen columns (batched ``timeline_lengths`` +
+  first-mention ``searchsorted``); ``QueryContext.first_mentions`` routes
+  through it, so the one classifier (``LevelByLevelOracle._classify``)
+  gets the batch whenever a kernel resolved;
 * **capped-window resolution** — users whose timeline exceeds the
   platform cap historically fell back to materialising the entire capped
   timeline (thousands of :class:`~repro.platform.posts.Post` objects) to
@@ -21,18 +22,16 @@ contiguous int64/float64 arrays, returns a :class:`KernelOps` providing
   :class:`~repro.core.query.UserView` for a prepaid user straight from
   the columns (only *matching* posts are materialised) instead of
   building the full timeline tuple;
-* **the Eq. 6 DP recursion over flat CSR arrays** — ``dp_tables``
-  compiles the classified subgraph into index arrays and runs both
-  recursion passes as tight loops: numba-JIT when available, a
-  pure-python twin otherwise.  Both execute the *same scalar IEEE-754
-  operations in the same order* as the interpreted dict recursion, so
-  the tables are bit-identical by construction;
 * **paged prefetch (mmap plane)** — :class:`PagePrefetcher` batches
   ``madvise(WILLNEED)`` over the timeline pages a walk batch is about to
   touch, so classification of a 10M-row mapped store overlaps its page
   faults instead of serialising them.  The touch-ahead window is
   ``drop_caches``-aware: the store's ``cache_epoch`` invalidates the
   already-advised set.
+
+A resolved kernel also tells the walkers the stack is clean, so MA-TARW's
+stepping loop may classify straight through the oracle instead of through
+the fault-retry wrapper (see ``MATARWEstimator._instance_runner``).
 
 Resolution rules / fallback matrix (mirrors ``resolve_fast_path``; the
 ``kernel.fallback{reason}`` counter names the failing rule):
@@ -42,17 +41,16 @@ reason                    rule
 ========================  =====================================================
 ``disabled``              :func:`set_kernel_enabled` switch off, or the
                           ``REPRO_NO_KERNEL=1`` environment override
+``ineligible-context``    the context opts out (``kernel_eligible = False``:
+                          Walk-Not-Wait's probing context reinterprets the
+                          first-mention family)
 ``no-fastpath``           the context's fast path did not resolve (fault or
                           resilient layers, legacy store, non-caching client)
 ``non-contiguous``        any serving column is not a clean 1-D C-contiguous
                           int64/float64 array
 ========================  =====================================================
 
-On success ``kernel.resolved`` and ``kernel.backend{backend}`` fire, where
-the backend is ``numba`` when the JIT imports (and ``REPRO_NO_NUMBA=1`` is
-unset) and ``numpy`` otherwise.  numba is an *optional* dependency: absent,
-the pure-python/numpy twins serve identically — the backends differ only
-in speed, never in bits.
+On success ``kernel.resolved`` fires.
 
 Bit-identity argument, in brief: every charge, cache counter, trace event
 and RNG draw happens in the same order with the same values as on the
@@ -71,7 +69,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -82,12 +80,6 @@ _ENABLED = True
 _ENABLED_LOCK = threading.Lock()
 
 _COLUMN_DTYPES = (np.dtype(np.int64), np.dtype(np.float64))
-
-_SCALAR_CLASSIFY_MAX = 32
-"""Neighborhood size below which :meth:`KernelOps.classify` loops scalar
-instead of paying four numpy array round-trips.  Pure perf threshold:
-both branches are element-wise bit-identical (see the kernels test
-tier), so the value only moves the crossover, never the answer."""
 
 
 def set_kernel_enabled(enabled: bool) -> bool:
@@ -107,44 +99,6 @@ def set_kernel_enabled(enabled: bool) -> bool:
 
 def kernel_enabled() -> bool:
     return _ENABLED and os.environ.get("REPRO_NO_KERNEL") != "1"
-
-
-# ----------------------------------------------------------------------
-# optional numba backend
-# ----------------------------------------------------------------------
-_NUMBA_PROBED = False
-_NUMBA_OK = False
-_DP_COMPILED = None
-
-
-def numba_available() -> bool:
-    """True when the numba JIT can back the DP kernel.
-
-    ``REPRO_NO_NUMBA=1`` forces the numpy/pure-python backend even with
-    numba installed — CI runs the whole kernel suite both ways.
-    """
-    global _NUMBA_PROBED, _NUMBA_OK
-    if os.environ.get("REPRO_NO_NUMBA") == "1":
-        return False
-    if not _NUMBA_PROBED:
-        try:
-            import numba  # noqa: F401
-
-            _NUMBA_OK = True
-        except Exception:
-            _NUMBA_OK = False
-        _NUMBA_PROBED = True
-    return _NUMBA_OK
-
-
-def _njit_dp():
-    """Lazily compile the array DP twin (first kernel-backed DP pays it)."""
-    global _DP_COMPILED
-    if _DP_COMPILED is None:
-        from numba import njit
-
-        _DP_COMPILED = njit(cache=False)(_dp_passes_arrays)
-    return _DP_COMPILED
 
 
 # ----------------------------------------------------------------------
@@ -188,211 +142,6 @@ def first_mention_from_columns(store, match_codes: np.ndarray,
     if hits.size == 0:
         return None
     return float(store.post_time[rows[hits[0]]])
-
-
-def _dp_passes_python(order_up, order_down, start, d_indptr, d_indices,
-                      up_counts, u_indptr, u_indices, down_counts):
-    """Eq. 6 recursion passes over flattened (list) CSR inputs.
-
-    Scalar loops in the exact interpreted operation order — each addition
-    and division happens on the same values, in the same sequence, as the
-    dict-based recursion in ``MATARWEstimator._run_dp_if_dirty`` — so the
-    resulting tables are bit-identical.  The numba twin
-    (:func:`_dp_passes_arrays`) runs the same algorithm over arrays.
-    """
-    n = len(order_up)
-    p_up = [0.0] * n
-    for i in order_up:
-        value = start[i]
-        for k in range(d_indptr[i], d_indptr[i + 1]):
-            j = d_indices[k]
-            pj = p_up[j]
-            if pj > 0.0:
-                value += pj / up_counts[j]
-        p_up[i] = value
-    p_down = [0.0] * n
-    for i in order_down:
-        if up_counts[i] == 0:
-            p_down[i] = p_up[i]
-            continue
-        value = 0.0
-        for k in range(u_indptr[i], u_indptr[i + 1]):
-            j = u_indices[k]
-            pj = p_down[j]
-            if pj > 0.0:
-                value += pj / down_counts[j]
-        p_down[i] = value
-    return p_up, p_down
-
-
-def _dp_passes_rows(order_up, order_down, start, d_rows, up_counts,
-                    u_rows, down_counts):
-    """Eq. 6 recursion passes over per-node adjacency rows.
-
-    The incremental twin of :func:`_dp_passes_python`: rows come from
-    :class:`_DPGraphState` and may hold ``-1`` placeholders for partners
-    that never classified (or classified with no level) — skipping them
-    is the interpreted recursion's ``v in classified`` guard.  The skip
-    is branch-free: the tables carry one extra trailing slot that is
-    never written, so a ``-1`` row entry indexes a permanent ``0.0`` and
-    falls through the existing ``pj > 0.0`` guard.  The live entries
-    appear in neighbor-list order, so each node's additions happen on
-    the same values in the same sequence and the tables are
-    bit-identical to both the interpreted recursion and the flat pass.
-    Callers must ignore the sentinel slot (``zip`` against the n-row id
-    list already does).
-    """
-    n = len(order_up)
-    p_up = [0.0] * (n + 1)
-    for i in order_up:
-        value = start[i]
-        for j in d_rows[i]:
-            pj = p_up[j]
-            if pj > 0.0:
-                value += pj / up_counts[j]
-        p_up[i] = value
-    p_down = [0.0] * (n + 1)
-    for i in order_down:
-        if up_counts[i] == 0:
-            p_down[i] = p_up[i]
-            continue
-        value = 0.0
-        for j in u_rows[i]:
-            pj = p_down[j]
-            if pj > 0.0:
-                value += pj / down_counts[j]
-        p_down[i] = value
-    return p_up, p_down
-
-
-def _dp_passes_arrays(order_up, order_down, start, d_indptr, d_indices,
-                      up_counts, u_indptr, u_indices, down_counts,
-                      p_up, p_down):  # pragma: no cover - numba twin
-    """Array twin of :func:`_dp_passes_python` (njit-compiled on demand).
-
-    Same scalar float64 adds/divides in the same order; IEEE-754 makes
-    the two backends produce the same bits.  Accepts the incremental
-    state's flattened rows too: negative indices are unresolved
-    placeholders and skip, exactly as in :func:`_dp_passes_rows` (the
-    full flatten never produces them, so the branch is never taken
-    there).
-    """
-    n = order_up.shape[0]
-    for oi in range(n):
-        i = order_up[oi]
-        value = start[i]
-        for k in range(d_indptr[i], d_indptr[i + 1]):
-            j = d_indices[k]
-            if j < 0:
-                continue
-            pj = p_up[j]
-            if pj > 0.0:
-                value += pj / up_counts[j]
-        p_up[i] = value
-    for oi in range(n):
-        i = order_down[oi]
-        if up_counts[i] == 0.0:
-            p_down[i] = p_up[i]
-            continue
-        value = 0.0
-        for k in range(u_indptr[i], u_indptr[i + 1]):
-            j = u_indices[k]
-            if j < 0:
-                continue
-            pj = p_down[j]
-            if pj > 0.0:
-                value += pj / down_counts[j]
-        p_down[i] = value
-
-
-# ----------------------------------------------------------------------
-# incremental adjacency state for the Eq. 6 DP recursion
-# ----------------------------------------------------------------------
-class _DPGraphState:
-    """Incrementally maintained row adjacency of an oracle's classified
-    subgraph.
-
-    Fed one node at a time by :meth:`KernelOps.classify` (classification
-    is append-only within an oracle's lifetime: a node classifies once
-    and its up/down lists never mutate afterwards), consumed by
-    :meth:`KernelOps.dp_tables`.  Each classified node owns one row per
-    direction, listing partner *row indices* in neighbor-list order —
-    the interpreted recursion's iteration order.  Edges to
-    not-yet-classified partners hold ``-1`` plus a ``(row, offset)``
-    pending entry; they resolve in place the moment the partner
-    classifies, which is also the only event that changes the node count
-    ``len(ids)`` — so the per-count caches (level argsort orders) stay
-    valid exactly as long as the count does.  The DP passes skip ``-1``
-    entries, reproducing the interpreted guard ``v in classified``.
-    """
-
-    __slots__ = (
-        "total_classified", "ids", "levels", "up_counts", "down_counts",
-        "idx", "dead", "d_rows", "u_rows", "d_pending", "u_pending",
-        "cached_n", "order_up", "order_down", "start_key", "start_list",
-    )
-
-    def __init__(self) -> None:
-        self.total_classified = 0
-        self.ids: List[int] = []
-        self.levels: List[int] = []
-        self.up_counts: List[int] = []
-        self.down_counts: List[int] = []
-        self.idx: Dict[int, int] = {}
-        self.dead: set = set()
-        """Classified nodes with no level: edges into them never resolve."""
-        self.d_rows: List[List[int]] = []
-        self.u_rows: List[List[int]] = []
-        self.d_pending: Dict[int, List[Tuple[int, int]]] = {}
-        self.u_pending: Dict[int, List[Tuple[int, int]]] = {}
-        self.cached_n = -1
-        self.order_up: Optional[List[int]] = None
-        self.order_down: Optional[List[int]] = None
-        self.start_key: Optional[frozenset] = None
-        self.start_list: List[float] = []
-
-    def note_classified(self, user_id: int, level: Optional[int],
-                        ups: Sequence[int], downs: Sequence[int]) -> None:
-        self.total_classified += 1
-        d_pos = self.d_pending.pop(user_id, None)
-        u_pos = self.u_pending.pop(user_id, None)
-        if level is None:
-            self.dead.add(user_id)
-            return
-        j = len(self.ids)
-        self.idx[user_id] = j
-        self.ids.append(user_id)
-        self.levels.append(level)
-        self.up_counts.append(len(ups))
-        self.down_counts.append(len(downs))
-        d_rows = self.d_rows
-        u_rows = self.u_rows
-        if d_pos:
-            for ri, off in d_pos:
-                d_rows[ri][off] = j
-        if u_pos:
-            for ri, off in u_pos:
-                u_rows[ri][off] = j
-        idx_get = self.idx.get
-        dead = self.dead
-        row: List[int] = []
-        for off, v in enumerate(downs):
-            k = idx_get(v)
-            if k is None:
-                k = -1
-                if v not in dead:
-                    self.d_pending.setdefault(v, []).append((j, off))
-            row.append(k)
-        d_rows.append(row)
-        row = []
-        for off, v in enumerate(ups):
-            k = idx_get(v)
-            if k is None:
-                k = -1
-                if v not in dead:
-                    self.u_pending.setdefault(v, []).append((j, off))
-            row.append(k)
-        u_rows.append(row)
 
 
 # ----------------------------------------------------------------------
@@ -482,11 +231,11 @@ class KernelOps:
     __slots__ = (
         "context", "fast", "cache", "sim", "store", "keyword", "query",
         "window", "match_codes", "extra_pids", "timeline_cap",
-        "timeline_page", "calls_for_items", "backend", "prefetcher",
+        "timeline_page", "calls_for_items", "prefetcher",
         "_log_exact", "_capped_calls", "_cache_metrics",
     )
 
-    def __init__(self, context, fast, backend: str,
+    def __init__(self, context, fast,
                  prefetcher: Optional[PagePrefetcher] = None) -> None:
         self.context = context
         self.fast = fast
@@ -502,7 +251,6 @@ class KernelOps:
         self.timeline_cap = fast.timeline_cap
         self.timeline_page = fast.timeline_page
         self.calls_for_items = fast.calls_for_items
-        self.backend = backend
         self.prefetcher = prefetcher
         self._log_exact = store.has_keyword_log(self.keyword) or (
             self.match_codes.size == 0 and self.extra_pids.size == 0
@@ -520,7 +268,7 @@ class KernelOps:
         self._cache_metrics = fast.cache.obs.metrics
 
     # ------------------------------------------------------------------
-    # first mentions (fused batch classification, stage 1)
+    # batched first mentions
     # ------------------------------------------------------------------
     def _count_cache(self, outcome: str) -> None:
         metrics = self._cache_metrics
@@ -662,97 +410,6 @@ class KernelOps:
                 memo[user_id] = times_list[i] if mentioned_list[i] else None
 
     # ------------------------------------------------------------------
-    # fused neighborhood classification (stage 2)
-    # ------------------------------------------------------------------
-    def classify(self, oracle, user_id: int) -> None:
-        """Fused twin of ``LevelByLevelOracle._classify`` for oracles with
-        no intra-level edge retention: batch first-mention resolution,
-        one ``levels_of_array`` call, and the up/down split as boolean
-        masks.  Same memo writes, same telemetry, same epoch bump.
-        """
-        own_level = oracle.level_of(user_id)
-        if own_level is None:
-            oracle._cache[user_id] = []
-            oracle._up[user_id] = []
-            oracle._down[user_id] = []
-            self._dp_state_for(oracle).note_classified(user_id, None, (), ())
-            oracle._note_classified(user_id, None, 0, 0)
-            oracle.classify_epoch += 1
-            return
-        context = self.context
-        neighbors = context.connections(user_id)
-        memo = context._first_mentions
-        self.resolve_mentions(neighbors, memo)
-        if len(neighbors) <= _SCALAR_CLASSIFY_MAX:
-            # Small neighborhoods (the common walk-step case) classify
-            # scalar: ``index.level_of`` is element-wise identical to
-            # ``levels_of_array`` (same float64 ops — pinned by the
-            # kernels property tier), and the python loop beats four
-            # array round-trips below ~a few dozen elements.
-            level_of = oracle.index.level_of
-            levels_memo = oracle._levels
-            cache_list: List[int] = []
-            up_list: List[int] = []
-            down_list: List[int] = []
-            for v in neighbors:
-                m = memo[v]
-                if m is None:
-                    levels_memo[v] = None
-                    continue
-                lv_v = level_of(m)
-                levels_memo[v] = lv_v
-                if lv_v == own_level:
-                    continue
-                cache_list.append(v)
-                if lv_v < own_level:
-                    up_list.append(v)
-                else:
-                    down_list.append(v)
-            oracle._cache[user_id] = cache_list
-            oracle._up[user_id] = up_list
-            oracle._down[user_id] = down_list
-            self._dp_state_for(oracle).note_classified(
-                user_id, own_level, up_list, down_list
-            )
-            oracle._note_classified(user_id, own_level, len(up_list), len(down_list))
-            oracle.classify_epoch += 1
-            return
-        times_list: List[float] = []
-        unknown_idx: List[int] = []
-        append = times_list.append
-        for i, v in enumerate(neighbors):
-            m = memo[v]
-            if m is None:
-                unknown_idx.append(i)
-                append(0.0)
-            else:
-                append(m)
-        times = np.asarray(times_list, dtype=np.float64)
-        lv = oracle.index.levels_of_array(times)
-        # Box levels to python ints before they can reach the level memo
-        # (and from there trace events / JSON export): a leaked np.int64
-        # would change — or crash — the serialised bytes.
-        lv_list = lv.tolist()
-        if unknown_idx:
-            for i in unknown_idx:
-                lv_list[i] = None
-        oracle._levels.update(zip(neighbors, lv_list))
-        neigh = np.asarray(neighbors, dtype=np.int64)
-        elig = lv != own_level
-        if unknown_idx:
-            known = np.ones(len(neighbors), dtype=bool)
-            known[unknown_idx] = False
-            elig &= known
-        up = neigh[elig & (lv < own_level)].tolist()
-        down = neigh[elig & (lv > own_level)].tolist()
-        oracle._cache[user_id] = neigh[elig].tolist()
-        oracle._up[user_id] = up
-        oracle._down[user_id] = down
-        self._dp_state_for(oracle).note_classified(user_id, own_level, up, down)
-        oracle._note_classified(user_id, own_level, len(up), len(down))
-        oracle.classify_epoch += 1
-
-    # ------------------------------------------------------------------
     # columnar condition views
     # ------------------------------------------------------------------
     def build_view(self, user_id: int):
@@ -815,164 +472,6 @@ class KernelOps:
         if todo:
             prefetcher.prefetch_users(todo, self.timeline_cap)
 
-    # ------------------------------------------------------------------
-    # the Eq. 6 DP recursion over flat arrays
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _dp_state_for(oracle) -> _DPGraphState:
-        state = getattr(oracle, "_dp_state", None)
-        if state is None:
-            state = _DPGraphState()
-            oracle._dp_state = state
-        return state
-
-    def dp_tables(self, oracle, seed_set, seed_count: int):
-        """Both Eq. 6 tables for the oracle's classified subgraph.
-
-        Fast path: the incremental CSR the classify hook maintains
-        (:class:`_DPGraphState`) — per call, only the valid-edge filter,
-        level argsorts and seed vector are recomputed (all vectorised and
-        cached per node count), then the backend passes run.  When the
-        state does not cover every classified node (interpreted
-        classifications, e.g. intra-edge retention, or a foreign oracle),
-        the full flatten below rebuilds from the oracle's dicts — exactly
-        the interpreted recursion's inputs either way.  Stable level
-        argsort reproduces the interpreted ``sorted`` tie-breaking over
-        insertion order; row order inside the CSR is the neighbor-list
-        order, so every addition happens on the same values in the same
-        sequence and the tables are bit-identical by construction.
-        """
-        state = getattr(oracle, "_dp_state", None)
-        cache_dict = getattr(oracle, "_cache", None)
-        if (
-            state is not None
-            and cache_dict is not None
-            and state.total_classified == len(cache_dict)
-        ):
-            return self._dp_tables_incremental(state, seed_set, seed_count)
-        return self._dp_tables_full(oracle, seed_set, seed_count)
-
-    def _dp_tables_incremental(self, state: _DPGraphState, seed_set, seed_count: int):
-        n = len(state.ids)
-        if n == 0:
-            return {}, {}
-        if state.cached_n != n:
-            levels_arr = np.asarray(state.levels, dtype=np.int64)
-            state.order_up = np.argsort(-levels_arr, kind="stable").tolist()
-            state.order_down = np.argsort(levels_arr, kind="stable").tolist()
-            state.cached_n = n
-        start_list = state.start_list
-        if state.start_key is not seed_set:
-            sv = 1.0 / seed_count if seed_count else 0.0
-            state.start_list = start_list = [
-                sv if u in seed_set else 0.0 for u in state.ids
-            ]
-            state.start_key = seed_set
-        elif len(start_list) < n:
-            # Same seed set, new rows since the last evaluation: extend.
-            sv = 1.0 / seed_count if seed_count else 0.0
-            for u in state.ids[len(start_list):]:
-                start_list.append(sv if u in seed_set else 0.0)
-        if self.backend == "numba" and numba_available():
-            d_indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum([len(r) for r in state.d_rows], out=d_indptr[1:])
-            u_indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum([len(r) for r in state.u_rows], out=u_indptr[1:])
-            d_indices = np.asarray(
-                [j for row in state.d_rows for j in row], dtype=np.int64
-            )
-            u_indices = np.asarray(
-                [j for row in state.u_rows for j in row], dtype=np.int64
-            )
-            p_up_arr = np.zeros(n, dtype=np.float64)
-            p_down_arr = np.zeros(n, dtype=np.float64)
-            _njit_dp()(
-                np.asarray(state.order_up, dtype=np.int64),
-                np.asarray(state.order_down, dtype=np.int64),
-                np.asarray(start_list, dtype=np.float64),
-                d_indptr, d_indices,
-                np.asarray(state.up_counts, dtype=np.float64),
-                u_indptr, u_indices,
-                np.asarray(state.down_counts, dtype=np.float64),
-                p_up_arr, p_down_arr,
-            )
-            p_up_list = p_up_arr.tolist()
-            p_down_list = p_down_arr.tolist()
-        else:
-            p_up_list, p_down_list = _dp_passes_rows(
-                state.order_up, state.order_down, start_list,
-                state.d_rows, state.up_counts,
-                state.u_rows, state.down_counts,
-            )
-        # zip stops at the value count, so the (shared, still-growing)
-        # ids list reads as a snapshot of the first n rows.
-        return (
-            dict(zip(state.ids, p_up_list)),
-            dict(zip(state.ids, p_down_list)),
-        )
-
-    def _dp_tables_full(self, oracle, seed_set, seed_count: int):
-        nodes = [u for u in oracle.classified_nodes()
-                 if oracle.level_of(u) is not None]
-        n = len(nodes)
-        if n == 0:
-            return {}, {}
-        idx = {u: i for i, u in enumerate(nodes)}
-        levels = np.empty(n, dtype=np.int64)
-        start = np.empty(n, dtype=np.float64)
-        up_counts = np.empty(n, dtype=np.int64)
-        down_counts = np.empty(n, dtype=np.int64)
-        d_indptr = np.empty(n + 1, dtype=np.int64)
-        u_indptr = np.empty(n + 1, dtype=np.int64)
-        d_indptr[0] = 0
-        u_indptr[0] = 0
-        d_idx: List[int] = []
-        u_idx: List[int] = []
-        sv = 1.0 / seed_count if seed_count else 0.0
-        level_of = oracle.level_of
-        up_map = oracle._up
-        down_map = oracle._down
-        get = idx.get
-        for i, u in enumerate(nodes):
-            levels[i] = level_of(u)
-            start[i] = sv if u in seed_set else 0.0
-            ups = up_map[u]
-            downs = down_map[u]
-            up_counts[i] = len(ups)
-            down_counts[i] = len(downs)
-            for v in downs:
-                j = get(v)
-                if j is not None:
-                    d_idx.append(j)
-            d_indptr[i + 1] = len(d_idx)
-            for v in ups:
-                j = get(v)
-                if j is not None:
-                    u_idx.append(j)
-            u_indptr[i + 1] = len(u_idx)
-        order_up = np.argsort(-levels, kind="stable")
-        order_down = np.argsort(levels, kind="stable")
-        if self.backend == "numba" and numba_available():
-            d_indices = np.asarray(d_idx, dtype=np.int64)
-            u_indices = np.asarray(u_idx, dtype=np.int64)
-            p_up_arr = np.zeros(n, dtype=np.float64)
-            p_down_arr = np.zeros(n, dtype=np.float64)
-            _njit_dp()(
-                order_up, order_down, start,
-                d_indptr, d_indices, up_counts.astype(np.float64),
-                u_indptr, u_indices, down_counts.astype(np.float64),
-                p_up_arr, p_down_arr,
-            )
-            p_up_list = p_up_arr.tolist()
-            p_down_list = p_down_arr.tolist()
-        else:
-            p_up_list, p_down_list = _dp_passes_python(
-                order_up.tolist(), order_down.tolist(), start.tolist(),
-                d_indptr.tolist(), d_idx, up_counts.tolist(),
-                u_indptr.tolist(), u_idx, down_counts.tolist(),
-            )
-        return dict(zip(nodes, p_up_list)), dict(zip(nodes, p_down_list))
-
 
 # ----------------------------------------------------------------------
 # resolution
@@ -980,8 +479,7 @@ class KernelOps:
 def resolve_kernel(context, obs: Optional[Observability] = None) -> Optional[KernelOps]:
     """Resolve *context* to kernel ops, or None for the interpreted path.
 
-    Emits ``kernel.resolved`` / ``kernel.backend{backend}`` /
-    ``kernel.fallback{reason}`` counters when a metrics registry is
+    Emits ``kernel.resolved`` / ``kernel.fallback{reason}`` counters when a metrics registry is
     attached, so CI's perf-smoke guard can fail a run whose stack
     silently stopped resolving (mirrors :func:`resolve_fast_path`).
     """
@@ -1020,14 +518,12 @@ def resolve_kernel(context, obs: Optional[Observability] = None) -> Optional[Ker
         ):
             fallback("non-contiguous")
             return None
-    backend = "numba" if numba_available() else "numpy"
     if metrics is not None:
         metrics.counter("kernel.resolved").inc()
-        metrics.counter("kernel.backend", backend=backend).inc()
     prefetcher = None
     if getattr(store, "storage", "ram") == "mmap":
         prefetcher = PagePrefetcher(store, [store.post_keyword, store.post_time])
-    return KernelOps(context, fast, backend=backend, prefetcher=prefetcher)
+    return KernelOps(context, fast, prefetcher=prefetcher)
 
 
 __all__: List[str] = [
@@ -1036,7 +532,6 @@ __all__: List[str] = [
     "first_mention_from_columns",
     "kernel_enabled",
     "match_mask",
-    "numba_available",
     "resolve_kernel",
     "set_kernel_enabled",
 ]

@@ -47,7 +47,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, ClassVar, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro._rng import RandomLike
 
@@ -150,8 +152,8 @@ class TARWConfig:
     max_seeds: Optional[int] = None
     """None = the complete search window (the whole bottom level)."""
     max_path_length: int = 10_000
-    """Safety bound on one phase's length (cycles are impossible on a
-    level-by-level graph, so this only guards corrupted oracles)."""
+    """Safety bound on one phase's length in nodes (cycles are impossible
+    on a level-by-level graph, so this only guards corrupted oracles)."""
     step_retries: int = 2
     """Walk-level fault recovery: a step whose oracle lookup raises a
     :class:`TransientAPIError` (the resilient client gave up) is retried
@@ -184,6 +186,171 @@ class TARWConfig:
             raise EstimationError(f"combine must be one of {COMBINE_MODES}")
         if self.step_retries < 0:
             raise EstimationError("step_retries must be >= 0")
+        if self.max_path_length < 1:
+            raise EstimationError("max_path_length must be >= 1")
+
+
+# ----------------------------------------------------------------------
+# the Eq. 6 evaluator: incremental row adjacency + two recursion passes
+# ----------------------------------------------------------------------
+def _dp_passes_rows(order_up, order_down, start, d_rows, up_counts,
+                    u_rows, down_counts):
+    """Eq. 6 recursion passes over per-node adjacency rows.
+
+    Rows come from :class:`_DPGraphState` and may hold ``-1`` placeholders
+    for partners that never classified (or classified with no level) —
+    Eq. 6 restricted to the classified subgraph skips them.  The skip is
+    branch-free: the tables carry one extra trailing slot that is never
+    written, so a ``-1`` row entry indexes a permanent ``0.0`` and falls
+    through the existing ``pj > 0.0`` guard.  Sorting by level is a
+    topological order for both passes (edges always connect different
+    levels), and the live entries appear in neighbor-list order.  Callers
+    must ignore the sentinel slot (``zip`` against the n-row id list
+    already does).
+    """
+    n = len(order_up)
+    p_up = [0.0] * (n + 1)
+    for i in order_up:
+        value = start[i]
+        for j in d_rows[i]:
+            pj = p_up[j]
+            if pj > 0.0:
+                value += pj / up_counts[j]
+        p_up[i] = value
+    p_down = [0.0] * (n + 1)
+    for i in order_down:
+        if up_counts[i] == 0:
+            p_down[i] = p_up[i]
+            continue
+        value = 0.0
+        for j in u_rows[i]:
+            pj = p_down[j]
+            if pj > 0.0:
+                value += pj / down_counts[j]
+        p_down[i] = value
+    return p_up, p_down
+
+
+class _DPGraphState:
+    """Incrementally maintained row adjacency of an oracle's classified
+    subgraph, and the Eq. 6 tables over it.
+
+    Fed one node at a time, in classification order, by
+    :meth:`MATARWEstimator._run_dp_if_dirty` (classification is
+    append-only within an oracle's lifetime: a node classifies once and
+    its up/down lists never mutate afterwards).  Each classified node owns
+    one row per direction, listing partner *row indices* in neighbor-list
+    order.  Edges to not-yet-classified partners hold ``-1`` plus a
+    ``(row, offset)`` pending entry; they resolve in place the moment the
+    partner classifies, which is also the only event that changes the
+    node count ``len(ids)`` — so the per-count caches (level argsort
+    orders) stay valid exactly as long as the count does.  The DP passes
+    skip ``-1`` entries: mass through unclassified neighbors is omitted.
+    """
+
+    __slots__ = (
+        "total_classified", "ids", "levels", "up_counts", "down_counts",
+        "idx", "dead", "d_rows", "u_rows", "d_pending", "u_pending",
+        "cached_n", "order_up", "order_down", "start_key", "start_list",
+    )
+
+    def __init__(self) -> None:
+        self.total_classified = 0
+        self.ids: List[int] = []
+        self.levels: List[int] = []
+        self.up_counts: List[int] = []
+        self.down_counts: List[int] = []
+        self.idx: Dict[int, int] = {}
+        self.dead: set = set()
+        """Classified nodes with no level: edges into them never resolve."""
+        self.d_rows: List[List[int]] = []
+        self.u_rows: List[List[int]] = []
+        self.d_pending: Dict[int, List[Tuple[int, int]]] = {}
+        self.u_pending: Dict[int, List[Tuple[int, int]]] = {}
+        self.cached_n = -1
+        self.order_up: Optional[List[int]] = None
+        self.order_down: Optional[List[int]] = None
+        self.start_key: Optional[frozenset] = None
+        self.start_list: List[float] = []
+
+    def note_classified(self, user_id: int, level: Optional[int],
+                        ups: Sequence[int], downs: Sequence[int]) -> None:
+        self.total_classified += 1
+        d_pos = self.d_pending.pop(user_id, None)
+        u_pos = self.u_pending.pop(user_id, None)
+        if level is None:
+            self.dead.add(user_id)
+            return
+        j = len(self.ids)
+        self.idx[user_id] = j
+        self.ids.append(user_id)
+        self.levels.append(level)
+        self.up_counts.append(len(ups))
+        self.down_counts.append(len(downs))
+        d_rows = self.d_rows
+        u_rows = self.u_rows
+        if d_pos:
+            for ri, off in d_pos:
+                d_rows[ri][off] = j
+        if u_pos:
+            for ri, off in u_pos:
+                u_rows[ri][off] = j
+        idx_get = self.idx.get
+        dead = self.dead
+        row: List[int] = []
+        for off, v in enumerate(downs):
+            k = idx_get(v)
+            if k is None:
+                k = -1
+                if v not in dead:
+                    self.d_pending.setdefault(v, []).append((j, off))
+            row.append(k)
+        d_rows.append(row)
+        row = []
+        for off, v in enumerate(ups):
+            k = idx_get(v)
+            if k is None:
+                k = -1
+                if v not in dead:
+                    self.u_pending.setdefault(v, []).append((j, off))
+            row.append(k)
+        u_rows.append(row)
+
+    def tables(self, seed_set: frozenset, seed_count: int
+               ) -> Tuple[Dict[int, float], Dict[int, float]]:
+        """Both Eq. 6 tables (``p_up``, ``p_down``) keyed by node id.
+
+        Per call only the level argsorts (cached per node count) and the
+        start vector (cached per seed-set identity, extended for new
+        rows) are refreshed before the passes run.  The stable argsort
+        breaks level ties in classification order.
+        """
+        n = len(self.ids)
+        if n == 0:
+            return {}, {}
+        if self.cached_n != n:
+            levels_arr = np.asarray(self.levels, dtype=np.int64)
+            self.order_up = np.argsort(-levels_arr, kind="stable").tolist()
+            self.order_down = np.argsort(levels_arr, kind="stable").tolist()
+            self.cached_n = n
+        start_list = self.start_list
+        if self.start_key is not seed_set:
+            sv = 1.0 / seed_count if seed_count else 0.0
+            self.start_list = start_list = [
+                sv if u in seed_set else 0.0 for u in self.ids
+            ]
+            self.start_key = seed_set
+        elif len(start_list) < n:
+            # Same seed set, new rows since the last evaluation: extend.
+            sv = 1.0 / seed_count if seed_count else 0.0
+            for u in self.ids[len(start_list):]:
+                start_list.append(sv if u in seed_set else 0.0)
+        p_up, p_down = _dp_passes_rows(
+            self.order_up, self.order_down, start_list,
+            self.d_rows, self.up_counts, self.u_rows, self.down_counts,
+        )
+        # zip stops at the id count, dropping the sentinel slot.
+        return dict(zip(self.ids, p_up)), dict(zip(self.ids, p_down))
 
 
 class MATARWEstimator(BaseWalker):
@@ -209,7 +376,6 @@ class MATARWEstimator(BaseWalker):
         obs: Optional[Observability] = None,
     ) -> None:
         super().__init__(context, oracle, config, seed=seed, parallel=parallel, obs=obs)
-        self._obs_phase = "walk"  # flips to "recount" for the final pass
         self._seeds: List[int] = []
         self._seed_set: frozenset = frozenset()
         self._root_cache: Dict[int, float] = {}
@@ -224,6 +390,7 @@ class MATARWEstimator(BaseWalker):
         self.zero_probability_drops = 0
         self.fault_aborted_instances = 0
         # Deterministic DP state (p_method="dp").
+        self._dp_state = _DPGraphState()
         self._dp_p_up: Dict[int, float] = {}
         self._dp_p_down: Dict[int, float] = {}
         self._dp_dirty = True
@@ -265,10 +432,11 @@ class MATARWEstimator(BaseWalker):
                 self.obs.trace.event("tarw.seeds", n=len(self._seeds))
             if self.obs.metrics is not None:
                 self.obs.metrics.gauge("tarw.seed_set_size").set(len(self._seeds))
-            run_instance = self._fused_instance_runner() or self._run_instance
+            run_instance = self._instance_runner("walk")
             while config.max_instances is None or instances < config.max_instances:
                 try:
-                    path_length_total += run_instance()
+                    up_path, down_path = run_instance()
+                    path_length_total += len(up_path) + len(down_path) - 1
                     instances += 1
                     self._instance_counter = instances
                 except BudgetExhaustedError:
@@ -381,7 +549,6 @@ class MATARWEstimator(BaseWalker):
         self._paper_paths.clear()
         self._instance_counter = 0
         self._dp_dirty = True
-        self._obs_phase = "recount"
         span = (
             self.obs.trace.span("tarw.recount", seeds=len(self._seeds))
             if self.obs.trace is not None
@@ -390,7 +557,7 @@ class MATARWEstimator(BaseWalker):
         completed = 0
         aborted = 0
         attempts_left = config.final_recount_instances * 3
-        run_instance = self._fused_instance_runner() or self._run_instance
+        run_instance = self._instance_runner("recount")
         while completed < config.final_recount_instances and attempts_left > 0:
             attempts_left -= 1
             try:
@@ -424,14 +591,13 @@ class MATARWEstimator(BaseWalker):
         )
         budget = getattr(self.context.client.meter, "budget", None)  # type: ignore[attr-defined]
         spend_cap = None if budget is None else budget * self.config.discovery_budget_fraction
+        run_instance = self._instance_runner("discovery")
         try:
             for _ in range(self.config.discovery_instances):
                 if spend_cap is not None and self._cost() >= spend_cap:
                     break
-                start = self.rng.choice(self._seeds)
                 try:
-                    up_path = self._walk_up(start)
-                    down_path = self._walk_down(up_path[-1])
+                    up_path, down_path = run_instance()
                 except TransientAPIError:
                     # Abandon this warm-up walk (its sinks are lost) but
                     # keep discovering: each walk restarts from a seed.
@@ -447,268 +613,214 @@ class MATARWEstimator(BaseWalker):
             span.add(promoted=len(discovered) - initial).close()
 
     # ------------------------------------------------------------------
-    # one bottom-top-bottom instance
+    # the walk engine: one bottom-top-bottom instance runner
     # ------------------------------------------------------------------
-    def _run_instance(self) -> int:
-        """Run one walk instance, updating visit counters and p-pools.
+    def _instance_runner(self, phase: str) -> Callable[[], Tuple[List[int], List[int]]]:
+        """Build ``run_instance() -> (up_path, down_path)`` for one *phase*
+        (``"discovery"``, ``"walk"`` or ``"recount"``): the one stepping
+        loop every MA-TARW walk runs, on every client stack.
 
-        Returns the instance's path length.  The instance's *contribution*
-        to the estimate is not finalised here: all contributions are
-        recomputed from the latest pooled p-estimates at read time
-        (:meth:`_recompute_value`), so early instances are not frozen with
-        the noisy p-estimates that were available when they ran.
-        """
-        obs = self.obs
-        span = (
-            obs.trace.span("tarw.instance", phase=self._obs_phase)
-            if obs.trace is not None
-            else None
-        )
-        try:
-            start = self.rng.choice(self._seeds)
-            # Walk both phases completely before recording anything: a walk
-            # can abort on budget exhaustion, and recording a partial
-            # instance would skew the visit counters.
-            up_path = self._walk_up(start)
-            root = up_path[-1]
-            down_path = self._walk_down(root)  # includes the root
-        except Exception as err:
-            if span is not None:
-                # Aborted instance: emit the span with the failure class so
-                # traces show *where* walks die, then let walk-level
-                # recovery in the caller decide what happens next.
-                span.add(error=type(err).__name__).close()
-            raise
+        An instance picks a uniformly random seed, climbs uniformly random
+        up-neighbors to a local root, then descends uniformly random
+        down-neighbors from that root (the down path's first node) to a
+        local sink.  Both phases are walked completely before anything is
+        recorded: a walk can abort on budget exhaustion or an unhealed
+        fault, and a partial instance would skew the visit counters.
+        Walk and recount instances then count each path's
+        condition-matching visits; discovery instances record nothing
+        (the caller promotes sinks from the returned paths).
 
-        self._record_phase(up_path, "up")
-        self._record_phase(down_path, "down")
-        if self.config.combine == "paper":
-            self._paper_paths.append((tuple(up_path), tuple(down_path)))
-        length = len(up_path) + len(down_path) - 1
-        if span is not None:
-            # Every node on both paths was classified during the walk, so
-            # the level lookups below are cache hits — zero API cost.
-            span.add(
-                start=start,
-                root=root,
-                sink=down_path[-1],
-                up=len(up_path),
-                down=len(down_path),
-                l_root=self.oracle.level_of(root),
-                l_sink=self.oracle.level_of(down_path[-1]),
-            ).close()
-        if obs.metrics is not None:
-            obs.metrics.counter("tarw.instances", phase=self._obs_phase).inc()
-            obs.metrics.histogram("tarw.walk_length").observe(length)
-        return length
+        The instance's *contribution* to the estimate is not finalised
+        here: all contributions are recomputed from the latest
+        probabilities at read time (:meth:`_recompute_value`), so early
+        instances are not frozen with the p-estimates of their time.
 
-    def _fused_instance_runner(self) -> Optional[Callable[[], int]]:
-        """Kernel-mode replacement for :meth:`_run_instance`: one closure
-        with every per-step attribute lookup prebound.
+        Everything fixed for the run is decided here, once, not per step:
 
-        Engaged only when the run is *observably equivalent* to the
-        interpreted instance: kernel resolved (clean stack, memo-direct
-        stepping already proven safe by :meth:`_walk_up`), telemetry off
-        (no spans/metrics to emit), DP probabilities (no per-visit
-        ``_refresh_p``), mean combine (no paper-path capture), and a stock
-        ``random.Random`` whose ``choice(seq)`` is literally
-        ``seq[_randbelow(len(seq))]`` — so the closure consumes the
-        identical RNG stream, touches the identical memos in the identical
-        order, and raises at the identical points.  Anything else returns
-        None and the caller keeps the interpreted :meth:`_run_instance`.
+        * **neighbour fetch** — a classified node is read straight off the
+          oracle's up/down memo (the accessor would return the same list
+          at no API cost).  A miss classifies through the oracle accessor:
+          directly when the kernel resolved (a clean stack, where
+          :class:`TransientAPIError` cannot surface), through the
+          :meth:`_oracle_step` retry wrapper otherwise.
+        * **index draw** — for a stock ``random.Random``, ``choice(seq)``
+          is ``seq[_randbelow(len(seq))]``; ``_randbelow_with_getrandbits``
+          is inlined for the steps, consuming the identical
+          ``getrandbits`` stream.  Any other generator keeps its ``choice``.
+        * **hooks**, None when off, so a traced run executes the same loop
+          as a dark one: the ``tarw.instance`` span (closed with the
+          failure class when a walk aborts), the ``tarw.level_visits`` /
+          ``tarw.instances`` / ``tarw.walk_length`` metrics, ESTIMATE-p's
+          pool refresh per counted visit (``p_method="estimate"``), path
+          capture for ``combine="paper"``, the mmap plane's page prefetch
+          ahead of a path's condition checks, and the kernel context's
+          condition memo read in place.
 
         ``self._seeds`` is read per call (the recount rebinds it) while
-        the visit counters are prebound (the recount ``clear()``s the same
-        dicts), matching the interpreted data flow exactly.
+        the visit counters and paper paths are prebound (the recount
+        ``clear()``s the same containers).
         """
-        kernel = self._kernel
         config = self.config
-        context = self.context
-        rng = self.rng
         oracle = self.oracle
-        if (
-            kernel is None
-            or self.obs.enabled
-            or config.combine == "paper"
-            or config.p_method != "dp"
-            or config.max_path_length < 1
-            or type(rng).choice is not random.Random.choice
-            or type(context).condition_matches is not QueryContext.condition_matches
-        ):
-            return None
-        up_map = getattr(oracle, "_up", None)
-        down_map = getattr(oracle, "_down", None)
-        randbelow = getattr(rng, "_randbelow", None)
-        if up_map is None or down_map is None or randbelow is None:
-            return None
-        if type(rng)._randbelow is random.Random._randbelow_with_getrandbits:
-            # Stock generator: the bit-loop below consumes the identical
-            # getrandbits stream without the per-step method call.
-            getrandbits: Optional[Callable[[int], int]] = rng.getrandbits
+        rng = self.rng
+        kernel = self._kernel
+        max_length = config.max_path_length
+        if kernel is not None:
+            fetch_up = oracle.up_neighbors
+            fetch_down = oracle.down_neighbors
         else:
-            getrandbits = None  # seeded subclass — keep its _randbelow
-        up_accessor = oracle.up_neighbors
-        down_accessor = oracle.down_neighbors
-        cond_memo = context._cond_memo
-        cond = context.condition_matches
+            retry = self._oracle_step
+            up_neighbors = oracle.up_neighbors
+            down_neighbors = oracle.down_neighbors
+
+            def fetch_up(node: int) -> List[int]:
+                return retry(up_neighbors, node)
+
+            def fetch_down(node: int) -> List[int]:
+                return retry(down_neighbors, node)
+
+        up_memo = getattr(oracle, "_up", {}).get
+        down_memo = getattr(oracle, "_down", {}).get
+        choice = rng.choice
+        randbelow = rng._randbelow if type(rng).choice is random.Random.choice else None
+        getrandbits: Optional[Callable[[int], int]] = None
+        if (
+            randbelow is not None
+            and type(rng)._randbelow is random.Random._randbelow_with_getrandbits
+        ):
+            getrandbits = rng.getrandbits
+
+        counting = phase != "discovery"  # discovery records nothing
+        level_of = oracle.level_of
+        trace = self.obs.trace if counting else None
+        metrics = self.obs.metrics if counting else None
+        refresh = self._refresh_p if config.p_method == "estimate" else None
+        paper_paths = self._paper_paths if config.combine == "paper" else None
+        prefetch = (
+            kernel.prefetch_views
+            if kernel is not None and kernel.prefetcher is not None
+            else None
+        )
+        context = self.context
+        condition_matches = context.condition_matches if counting else None
+        memoised = (
+            kernel is not None
+            and type(context).condition_matches is QueryContext.condition_matches
+        )
+        # Without the kernel's memo every lookup misses and the context
+        # answers the condition itself.
+        cached_condition = context._cond_memo.get if memoised else {}.get
         visits_up = self._visits_up
         visits_down = self._visits_down
-        up_get = visits_up.get
-        down_get = visits_down.get
-        max_length = config.max_path_length
-        # RAM plane has no prefetcher and prefetch_views is a no-op —
-        # skip the 2-per-instance calls entirely (mmap plane keeps them).
-        prefetch = kernel.prefetch_views if kernel.prefetcher is not None else None
 
-        def run_instance() -> int:
-            seeds = self._seeds
-            current = seeds[randbelow(len(seeds))]
-            up_path = [current]
-            while True:
-                ups = up_map.get(current)
-                if ups is None:
-                    ups = up_accessor(current)
-                if not ups:
-                    break
-                if getrandbits is None:
-                    current = ups[randbelow(len(ups))]
+        def run_instance() -> Tuple[List[int], List[int]]:
+            span = trace.span("tarw.instance", phase=phase) if trace is not None else None
+            try:
+                seeds = self._seeds
+                if randbelow is not None:
+                    current = seeds[randbelow(len(seeds))]
                 else:
-                    # _randbelow_with_getrandbits inlined (n >= 1 here).
-                    n = len(ups)
-                    k = n.bit_length()
-                    r = getrandbits(k)
-                    while r >= n:
+                    current = choice(seeds)
+                up_path = [current]
+                while True:
+                    candidates = up_memo(current)
+                    if candidates is None:
+                        candidates = fetch_up(current)
+                    if not candidates:
+                        break
+                    if getrandbits is None:
+                        current = choice(candidates)
+                    else:
+                        n = len(candidates)
+                        k = n.bit_length()
                         r = getrandbits(k)
-                    current = ups[r]
-                up_path.append(current)
-                if len(up_path) > max_length:
-                    raise EstimationError(
-                        "up-phase exceeded max_path_length; level oracle is cyclic?"
-                    )
-            current = up_path[-1]
-            down_path = [current]
-            while True:
-                downs = down_map.get(current)
-                if downs is None:
-                    downs = down_accessor(current)
-                if not downs:
-                    break
-                if getrandbits is None:
-                    current = downs[randbelow(len(downs))]
-                else:
-                    n = len(downs)
-                    k = n.bit_length()
-                    r = getrandbits(k)
-                    while r >= n:
+                        while r >= n:
+                            r = getrandbits(k)
+                        current = candidates[r]
+                    up_path.append(current)
+                    if len(up_path) > max_length:
+                        raise EstimationError(
+                            "up-phase exceeded max_path_length; level oracle is cyclic?"
+                        )
+                down_path = [current]
+                while True:
+                    candidates = down_memo(current)
+                    if candidates is None:
+                        candidates = fetch_down(current)
+                    if not candidates:
+                        break
+                    if getrandbits is None:
+                        current = choice(candidates)
+                    else:
+                        n = len(candidates)
+                        k = n.bit_length()
                         r = getrandbits(k)
-                    current = downs[r]
-                down_path.append(current)
-                if len(down_path) > max_length:
-                    raise EstimationError(
-                        "down-phase exceeded max_path_length; level oracle is cyclic?"
-                    )
-            if prefetch is not None:
-                prefetch(up_path)
-            for node in up_path:
-                matches = cond_memo.get(node)
-                if matches is None:
-                    matches = cond(node)
-                if matches:
-                    visits_up[node] = up_get(node, 0) + 1
-            self._dp_dirty = True
-            if prefetch is not None:
-                prefetch(down_path)
-            for node in down_path:
-                matches = cond_memo.get(node)
-                if matches is None:
-                    matches = cond(node)
-                if matches:
-                    visits_down[node] = down_get(node, 0) + 1
-            self._dp_dirty = True
-            return len(up_path) + len(down_path) - 1
+                        while r >= n:
+                            r = getrandbits(k)
+                        current = candidates[r]
+                    down_path.append(current)
+                    if len(down_path) > max_length:
+                        raise EstimationError(
+                            "down-phase exceeded max_path_length; level oracle is cyclic?"
+                        )
+            except Exception as err:
+                if span is not None:
+                    # Aborted instance: emit the span with the failure class
+                    # so traces show *where* walks die, then let walk-level
+                    # recovery in the caller decide what happens next.
+                    span.add(error=type(err).__name__).close()
+                raise
+            if not counting:
+                return up_path, down_path
+            for direction, visits, path in (
+                ("up", visits_up, up_path),
+                ("down", visits_down, down_path),
+            ):
+                if prefetch is not None:
+                    prefetch(path)
+                visits_get = visits.get
+                for node in path:
+                    if metrics is not None:
+                        # level_of is memoised for every walked node (the
+                        # walk classified it): occupancy telemetry is free.
+                        level = level_of(node)
+                        if level is not None:
+                            metrics.counter(
+                                "tarw.level_visits", level=level, phase=direction
+                            ).inc()
+                    matches = cached_condition(node)
+                    if matches is None:
+                        matches = condition_matches(node)
+                    if not matches:
+                        continue  # contributes 0 regardless of p(u): skip its cost
+                    visits[node] = visits_get(node, 0) + 1
+                    if refresh is not None:
+                        refresh(node, direction)
+                self._dp_dirty = True
+            if paper_paths is not None:
+                paper_paths.append((tuple(up_path), tuple(down_path)))
+            if span is not None:
+                # Every node on both paths was classified during the walk,
+                # so the level lookups below are cache hits — zero API cost.
+                root = down_path[0]
+                sink = down_path[-1]
+                span.add(
+                    start=up_path[0],
+                    root=root,
+                    sink=sink,
+                    up=len(up_path),
+                    down=len(down_path),
+                    l_root=level_of(root),
+                    l_sink=level_of(sink),
+                ).close()
+            if metrics is not None:
+                metrics.counter("tarw.instances", phase=phase).inc()
+                metrics.histogram("tarw.walk_length").observe(
+                    len(up_path) + len(down_path) - 1
+                )
+            return up_path, down_path
 
         return run_instance
-
-    def _record_phase(self, path: List[int], direction: str) -> None:
-        visits = self._visits_up if direction == "up" else self._visits_down
-        metrics = self.obs.metrics
-        kernel = self._kernel
-        if kernel is not None:
-            # mmap plane: advise the timeline pages the condition checks
-            # below will gather in one batch (no-op elsewhere).
-            kernel.prefetch_views(path)
-        condition_matches = self.context.condition_matches
-        level_of = self.oracle.level_of
-        refresh = self.config.p_method == "estimate"
-        visits_get = visits.get
-        for node in path:
-            if metrics is not None:
-                # level_of is memoised for every walked node (the walk
-                # classified it), so occupancy telemetry is free.
-                level = level_of(node)
-                if level is not None:
-                    metrics.counter("tarw.level_visits", level=level, phase=direction).inc()
-            if not condition_matches(node):
-                continue  # contributes 0 regardless of p(u): skip its cost
-            visits[node] = visits_get(node, 0) + 1
-            if refresh:
-                self._refresh_p(node, direction)
-        self._dp_dirty = True
-
-    def _walk_up(self, start: int) -> List[int]:
-        path = [start]
-        current = start
-        max_length = self.config.max_path_length
-        choice = self.rng.choice
-        oracle = self.oracle
-        up_map = getattr(oracle, "_up", None) if self._kernel is not None else None
-        if up_map is not None:
-            # Kernel resolved ⇒ clean stack ⇒ no TransientAPIError, so
-            # step straight off the oracle's memo (classifying on miss)
-            # instead of paying the retry wrapper per step.
-            up_accessor = oracle.up_neighbors
-            while len(path) <= max_length:
-                ups = up_map.get(current)
-                if ups is None:
-                    ups = up_accessor(current)
-                if not ups:
-                    return path
-                current = choice(ups)
-                path.append(current)
-        else:
-            while len(path) <= max_length:
-                ups = self._oracle_step(oracle.up_neighbors, current)
-                if not ups:
-                    return path
-                current = choice(ups)
-                path.append(current)
-        raise EstimationError("up-phase exceeded max_path_length; level oracle is cyclic?")
-
-    def _walk_down(self, root: int) -> List[int]:
-        path = [root]
-        current = root
-        max_length = self.config.max_path_length
-        choice = self.rng.choice
-        oracle = self.oracle
-        down_map = getattr(oracle, "_down", None) if self._kernel is not None else None
-        if down_map is not None:
-            down_accessor = oracle.down_neighbors
-            while len(path) <= max_length:
-                downs = down_map.get(current)
-                if downs is None:
-                    downs = down_accessor(current)
-                if not downs:
-                    return path
-                current = choice(downs)
-                path.append(current)
-        else:
-            while len(path) <= max_length:
-                downs = self._oracle_step(oracle.down_neighbors, current)
-                if not downs:
-                    return path
-                current = choice(downs)
-                path.append(current)
-        raise EstimationError("down-phase exceeded max_path_length; level oracle is cyclic?")
 
     def _refresh_p(self, node: int, direction: str) -> float:
         """Add a batch of ESTIMATE-p samples for *node* to its pool.
@@ -747,10 +859,11 @@ class MATARWEstimator(BaseWalker):
     def _run_dp_if_dirty(self) -> None:
         """Evaluate Eq. 6 exactly over the classified subgraph.
 
-        Edges always connect different levels, so sorting by level gives a
-        topological order for both recursions.  Mass through unclassified
-        neighbors is omitted (lower bound; converges as coverage grows).
-        No API calls: every input is already in the oracle's caches.
+        Nodes classified since the last evaluation are appended to the
+        incremental adjacency (:class:`_DPGraphState`) in classification
+        order, then its passes run.  Mass through unclassified neighbors
+        is omitted (lower bound; converges as coverage grows).  No API
+        calls: every input is already in the oracle's caches.
 
         The dirty flag is necessary but not sufficient: visit counters
         move every instance, yet the recursion reads only the oracle's
@@ -762,44 +875,21 @@ class MATARWEstimator(BaseWalker):
         """
         if not self._dp_dirty:
             return
-        epoch = getattr(self.oracle, "classify_epoch", None)
+        oracle = self.oracle
+        epoch = getattr(oracle, "classify_epoch", None)
         key = None if epoch is None else (epoch, self._seed_version)
         if key is not None and key == self._dp_key:
             self._dp_dirty = False
             return
-        oracle = self.oracle
-        kernel = self._kernel if hasattr(oracle, "_up") else None
-        if kernel is not None:
-            # Flattened CSR evaluation (numba or numpy backend): the same
-            # scalar IEEE-754 operations in the same order, so the tables
-            # are bit-identical to the dict recursion below.
-            self._dp_p_up, self._dp_p_down = kernel.dp_tables(
-                oracle, self._seed_set, len(self._seeds)
+        state = self._dp_state
+        level_of = oracle.level_of
+        up_neighbors = oracle.up_neighbors
+        down_neighbors = oracle.down_neighbors
+        for node in oracle.classified_nodes()[state.total_classified:]:
+            state.note_classified(
+                node, level_of(node), up_neighbors(node), down_neighbors(node)
             )
-        else:
-            nodes = [u for u in oracle.classified_nodes() if oracle.level_of(u) is not None]
-            classified = set(nodes)
-            level = {u: oracle.level_of(u) for u in nodes}
-            p_up: Dict[int, float] = {}
-            for u in sorted(nodes, key=lambda n: -level[n]):
-                value = self._start_probability(u)
-                for v in oracle.down_neighbors(u):
-                    if v in classified and p_up.get(v, 0.0) > 0.0:
-                        value += p_up[v] / len(oracle.up_neighbors(v))
-                p_up[u] = value
-            p_down: Dict[int, float] = {}
-            for u in sorted(nodes, key=lambda n: level[n]):
-                ups = oracle.up_neighbors(u)
-                if not ups:
-                    p_down[u] = p_up[u]
-                    continue
-                value = 0.0
-                for v in ups:
-                    if v in classified and p_down.get(v, 0.0) > 0.0:
-                        value += p_down[v] / len(oracle.down_neighbors(v))
-                p_down[u] = value
-            self._dp_p_up = p_up
-            self._dp_p_down = p_down
+        self._dp_p_up, self._dp_p_down = state.tables(self._seed_set, len(self._seeds))
         self._dp_key = key
         self._dp_recomputes += 1
         self._dp_dirty = False
@@ -875,13 +965,17 @@ class MATARWEstimator(BaseWalker):
 
     def _recompute_value_paper(self) -> Optional[float]:
         """Algorithm 3's printed combine: per-instance 1/|R_i| normalising."""
-        if not self._paper_paths:
-            return None
-        sum_estimates: List[float] = []
-        count_estimates: List[float] = []
+        sum_total, count_total = self._paper_totals()
+        return self._value_from_totals(sum_total, count_total, len(self._paper_paths))
+
+    def _paper_totals(self) -> Tuple[float, float]:
+        """Σ over captured instances of (Σ f(u)/p̂(u), Σ 1/p̂(u)) / |R_i|,
+        the condition-matching nodes of both paths contributing."""
+        sum_total = 0.0
+        count_total = 0.0
         for up_path, down_path in self._paper_paths:
-            total_sum = 0.0
-            total_count = 0.0
+            path_sum = 0.0
+            path_count = 0.0
             for path, pool in ((up_path, self._p_up_pool), (down_path, self._p_down_pool)):
                 for node in path:
                     if not self.context.condition_matches(node):
@@ -889,14 +983,12 @@ class MATARWEstimator(BaseWalker):
                     probability = self._pooled_p(node, pool)
                     if probability <= 0.0:
                         continue
-                    total_sum += self.context.f_value(node) / probability
-                    total_count += 1.0 / probability
+                    path_sum += self.context.f_value(node) / probability
+                    path_count += 1.0 / probability
             size = len(up_path) + len(down_path)
-            sum_estimates.append(total_sum / size)
-            count_estimates.append(total_count / size)
-        return self._value_from_totals(
-            sum(sum_estimates), sum(count_estimates), len(sum_estimates)
-        )
+            sum_total += path_sum / size
+            count_total += path_count / size
+        return sum_total, count_total
 
     def _instances_run(self) -> int:
         return self._instance_counter
@@ -917,23 +1009,7 @@ class MATARWEstimator(BaseWalker):
         concentrates near 1 (see ``TARWConfig.weight_cap``).
         """
         if self.config.combine == "paper":
-            sum_total = 0.0
-            count_total = 0.0
-            for up_path, down_path in self._paper_paths:
-                path_sum = 0.0
-                path_count = 0.0
-                for path, pool in ((up_path, self._p_up_pool), (down_path, self._p_down_pool)):
-                    for node in path:
-                        if not self.context.condition_matches(node):
-                            continue
-                        probability = self._pooled_p(node, pool)
-                        if probability <= 0.0:
-                            continue
-                        path_sum += self.context.f_value(node) / probability
-                        path_count += 1.0 / probability
-                size = len(up_path) + len(down_path)
-                sum_total += path_sum / size
-                count_total += path_count / size
+            sum_total, count_total = self._paper_totals()
             return {
                 "sum": sum_total,
                 "count": count_total,

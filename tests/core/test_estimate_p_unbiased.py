@@ -162,10 +162,9 @@ def test_estimate_p_down_is_unbiased(variant):
 # ----------------------------------------------------------------------
 def _run_walks(estimator, n):
     up_visits, down_visits = Counter(), Counter()
+    run_instance = estimator._instance_runner("discovery")
     for _ in range(n):
-        start = estimator.rng.choice(estimator._seeds)
-        up_path = estimator._walk_up(start)
-        down_path = estimator._walk_down(up_path[-1])
+        up_path, down_path = run_instance()
         up_visits.update(up_path)      # levels strictly decrease going up,
         down_visits.update(down_path)  # so a node appears at most once
     return up_visits, down_visits

@@ -10,9 +10,14 @@ Pins the :mod:`repro.core.kernels` contract:
 * **Resolution rules** — clean caching stacks resolve (with counters),
   fault stacks, probing contexts and the process-wide switch fall back
   with the documented reason labels.
-* **Eq. 6 DP equivalence** — the flat-CSR passes reproduce the
-  interpreted dict recursion bit for bit on hypothesis-generated level
-  DAGs (ghost partners, zero-mass nodes, empty seed sets included).
+* **One walk engine** — traced and dark runs execute the same instance
+  runner, and the configs that once forced the interpreted instance
+  loop (intra-edge retention, the paper combine, ESTIMATE-p) stay
+  bit-identical kernel-on vs kernel-off.
+* **Eq. 6 DP equivalence** — the incremental evaluator, fed in any
+  classification order, reproduces the interpreted dict recursion bit
+  for bit on hypothesis-generated level DAGs (never-classified and
+  level-less partners, zero-mass nodes, empty seed sets included).
 * **Capped first-mention** — the columnar capped-window resolution
   matches the slow per-view answer over random columns (ties, empty
   timelines, absent keywords, multi-keyword extras) and end-to-end on a
@@ -30,19 +35,16 @@ import pytest
 from repro.api.client import CachingClient, SimulatedMicroblogClient
 from repro.api.faults import FAULT_PROFILES, FaultInjectingClient, FaultPlan
 from repro.api.resilient import ResilientClient
+from repro.core.analyzer import MicroblogAnalyzer
 from repro.core.graph_builder import LevelByLevelOracle, QueryContext
 from repro.core.kernels import (
-    KernelOps,
-    _dp_passes_python,
     first_mention_from_columns,
     kernel_enabled,
-    numba_available,
-    resolve_kernel,
     set_kernel_enabled,
 )
 from repro.core.levels import LevelIndex
 from repro.core.query import count_users
-from repro.core.tarw import MATARWEstimator, TARWConfig
+from repro.core.tarw import MATARWEstimator, TARWConfig, _DPGraphState
 from repro.core.wnw import ProbingContext
 from repro.obs import Observability
 from repro.obs.export import trace_lines
@@ -51,7 +53,13 @@ from repro.obs.trace import RecordingSink
 from repro.platform.clock import DAY
 from repro.platform.simulator import PlatformConfig, build_platform
 from tests.conftest import tiny_keywords
-from tests.obs.conftest import GOLDEN_PLATFORM, GOLDEN_WALK_SEED, golden_run
+from tests.obs.conftest import (
+    GOLDEN_PLATFORM,
+    GOLDEN_WALK_SEED,
+    golden_estimator_config,
+    golden_query,
+    golden_run,
+)
 
 try:  # property tests degrade gracefully without hypothesis
     from hypothesis import given, settings
@@ -134,9 +142,8 @@ def test_kernel_traces_bit_identical(
 @pytest.mark.parametrize("algorithm", ["ma-tarw", "ma-srw"])
 @pytest.mark.parametrize("plane", ["frozen", "mmap"])
 def test_untraced_kernel_run_matches_interpreted(request, algorithm, plane):
-    """Observability-off identity: the only mode where TARW's fused
-    instance runner engages (traced runs take the interpreted instance
-    path by design), so the golden-trace matrix above cannot cover it.
+    """Observability-off identity: the golden-trace matrix above runs
+    traced, so this pins the same runner with every telemetry hook off.
     """
     platform = request.getfixturevalue(f"{plane}_platform")
     with kernel_switch(False):
@@ -149,59 +156,85 @@ def test_untraced_kernel_run_matches_interpreted(request, algorithm, plane):
     assert on.trace == off.trace
 
 
-def test_fused_runner_engages_only_untraced(frozen_platform):
-    client, context = _stack(frozen_platform)
-    oracle = LevelByLevelOracle(context, LevelIndex(DAY))
-    untraced = MATARWEstimator(context, oracle, TARWConfig(), seed=GOLDEN_WALK_SEED)
-    assert untraced._kernel is not None
-    assert untraced._fused_instance_runner() is not None
+def test_traced_and_untraced_runs_share_one_runner(frozen_platform, monkeypatch):
+    """Attaching telemetry binds hooks, not a different loop: every run —
+    dark or traced, kernel or fault stack — builds its discovery, walk
+    and recount runners from the same closure code, and the traced answer
+    equals the dark one."""
+    built = []
+    build = MATARWEstimator._instance_runner
 
-    client2, context2 = _stack(frozen_platform)
-    obs = Observability(trace_sink=RecordingSink())
-    traced = MATARWEstimator(
-        context2, LevelByLevelOracle(context2, LevelIndex(DAY)), TARWConfig(),
-        seed=GOLDEN_WALK_SEED, obs=obs,
+    def spy(self, phase):
+        runner = build(self, phase)
+        built.append((self.obs.enabled, self._kernel is not None, phase, runner.__code__))
+        return runner
+
+    monkeypatch.setattr(MATARWEstimator, "_instance_runner", spy)
+    dark = golden_run(frozen_platform, "ma-tarw")
+    traced = golden_run(
+        frozen_platform, "ma-tarw", obs=Observability(trace_sink=RecordingSink())
     )
-    assert traced._fused_instance_runner() is None  # telemetry on
-
-    client3, context3 = _stack(frozen_platform)
-    papered = MATARWEstimator(
-        context3, LevelByLevelOracle(context3, LevelIndex(DAY)),
-        TARWConfig(combine="paper"), seed=GOLDEN_WALK_SEED,
+    golden_run(
+        frozen_platform, "ma-tarw", obs=Observability(trace_sink=RecordingSink()),
+        fault_plan=FAULT_PROFILES["hostile"],
     )
-    assert papered._fused_instance_runner() is None  # paper-path capture
+    assert {entry[:3] for entry in built} == {
+        (traced_, kernel, phase)
+        for traced_, kernel in ((False, True), (True, True), (True, False))
+        for phase in ("discovery", "walk", "recount")
+    }
+    assert len({entry[3] for entry in built}) == 1
+    assert traced.value == dark.value
+    assert traced.cost_by_kind == dark.cost_by_kind
+    assert traced.trace == dark.trace
 
 
-def test_incremental_dp_state_matches_full_rebuild(frozen_platform):
-    """The classify-fed incremental adjacency (`_DPGraphState`) must
-    reproduce the full oracle flatten bit for bit on a real run's oracle.
-
-    The hypothesis DP tests drive `dp_tables` through fake oracles that
-    the state never covers (full-rebuild path); this pins the other
-    dispatch arm against it on the same inputs.
-    """
-    with kernel_switch(True):
-        client, context = _stack(frozen_platform, budget=1_500)
-        oracle = LevelByLevelOracle(context, LevelIndex(DAY))
-        estimator = MATARWEstimator(
-            context, oracle, config=SMALL_TARW, seed=GOLDEN_WALK_SEED
+SHARED_LOOP_CONFIGS = {
+    # Figure 4's partial intra-edge retention
+    "keep-intra": dict(keep_intra_fraction=0.5),
+    # Algorithm 3's printed combine (per-instance path capture)
+    "paper-combine": dict(
+        tarw_config=dataclasses.replace(
+            golden_estimator_config("ma-tarw"), combine="paper"
         )
-        estimator.estimate()
-    kernel = context.kernel
-    assert kernel is not None
-    state = getattr(oracle, "_dp_state", None)
-    assert state is not None
-    # The state covers every classification, so dp_tables dispatched to
-    # the incremental arm throughout the run.
-    assert state.total_classified == len(oracle._cache)
-    assert len(state.ids) > 0
-    seed_set = estimator._seed_set
-    seed_count = len(estimator._seeds)
-    inc_up, inc_down = kernel._dp_tables_incremental(state, seed_set, seed_count)
-    full_up, full_down = kernel._dp_tables_full(oracle, seed_set, seed_count)
-    assert inc_up == full_up  # exact float equality: bit-identity
-    assert inc_down == full_down
-    assert len(inc_up) == len(state.ids)
+    ),
+    # Algorithm 2's sampled probabilities (per-visit pool refresh)
+    "estimate-p": dict(
+        tarw_config=dataclasses.replace(
+            golden_estimator_config("ma-tarw"), p_method="estimate", pool_min_samples=16
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_LOOP_CONFIGS))
+def test_shared_loop_configs_bit_identical(frozen_platform, name):
+    """Configs whose hooks (intra-edge retention, path capture, pool
+    refresh) ride the one runner: kernel-on ≡ kernel-off in value, bill
+    and trace bytes."""
+
+    def run(enabled):
+        kwargs = dict(SHARED_LOOP_CONFIGS[name])
+        kwargs.setdefault("tarw_config", golden_estimator_config("ma-tarw"))
+        metrics = MetricsRegistry()
+        obs = Observability(trace_sink=RecordingSink(), metrics=metrics)
+        with kernel_switch(enabled):
+            analyzer = MicroblogAnalyzer(
+                frozen_platform, algorithm="ma-tarw", interval=DAY,
+                seed=GOLDEN_WALK_SEED, obs=obs, **kwargs,
+            )
+            result = analyzer.estimate(golden_query(), budget=800)
+        text = "\n".join(trace_lines(obs.trace_records())) + "\n"
+        return result, text, metrics.snapshot()["counters"]
+
+    off, off_text, off_counters = run(False)
+    on, on_text, on_counters = run(True)
+    assert on_counters.get("kernel.resolved", 0) >= 1
+    assert "kernel.resolved" not in off_counters
+    assert on.value is not None
+    assert on.value == off.value
+    assert on.cost_by_kind == off.cost_by_kind
+    assert on_text == off_text
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +248,6 @@ class TestResolution:
             client, count_users(KEYWORD), obs=Observability(metrics=metrics)
         )
         assert context.kernel is not None
-        assert context.kernel.backend in ("numpy", "numba")
         counters = metrics.snapshot()["counters"]
         assert counters["kernel.resolved"] == 1
         assert not any(key.startswith("kernel.fallback") for key in counters)
@@ -237,13 +269,6 @@ class TestResolution:
         assert not kernel_enabled()
         _, context = _stack(tiny_platform)
         assert context.kernel is None
-
-    def test_no_numba_env_forces_numpy_backend(self, tiny_platform, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMBA", "1")
-        assert not numba_available()
-        _, context = _stack(tiny_platform)
-        assert context.kernel is not None
-        assert context.kernel.backend == "numpy"
 
     @pytest.mark.chaos
     def test_fault_stack_falls_back(self, tiny_platform):
@@ -334,10 +359,10 @@ class TestCappedTimelines:
 
 
 # ----------------------------------------------------------------------
-# Eq. 6 DP: flat CSR passes ≡ interpreted dict recursion
+# Eq. 6 DP: incremental evaluator ≡ interpreted dict recursion
 # ----------------------------------------------------------------------
 class FakeDPOracle:
-    """Just enough oracle surface for :meth:`KernelOps.dp_tables`."""
+    """Just enough oracle surface for :func:`interpreted_dp`."""
 
     def __init__(self, levels, up, down):
         self._levels = levels
@@ -358,7 +383,8 @@ class FakeDPOracle:
 
 
 def interpreted_dp(oracle, seed_set, seed_count):
-    """Verbatim port of the interpreted recursion in ``_run_dp_if_dirty``."""
+    """Eq. 6 as a level-sorted dict recursion over the classified nodes:
+    the reference the incremental evaluator must reproduce bit for bit."""
     nodes = [u for u in oracle.classified_nodes() if oracle.level_of(u) is not None]
     classified = set(nodes)
     level = {u: oracle.level_of(u) for u in nodes}
@@ -384,12 +410,6 @@ def interpreted_dp(oracle, seed_set, seed_count):
     return p_up, p_down
 
 
-def _kernel_ops(backend):
-    ops = KernelOps.__new__(KernelOps)
-    ops.backend = backend
-    return ops
-
-
 if HAVE_HYPOTHESIS:
 
     @st.composite
@@ -398,34 +418,48 @@ if HAVE_HYPOTHESIS:
         nodes = draw(
             st.lists(st.integers(0, 10_000), min_size=n, max_size=n, unique=True)
         )
-        levels = {u: draw(st.integers(0, 3)) for u in nodes}
+        # None: classified with no level (no visible mention)
+        levels = {u: draw(st.one_of(st.none(), st.integers(0, 3))) for u in nodes}
+        live = [u for u in nodes if levels[u] is not None]
+        dead = [u for u in nodes if levels[u] is None]
         up = {u: [] for u in nodes}
         down = {u: [] for u in nodes}
         ghost = max(nodes) + 1
-        for i, u in enumerate(nodes):
-            for v in nodes[i + 1 :]:
+        for i, u in enumerate(live):
+            for v in live[i + 1 :]:
                 if levels[u] == levels[v] or not draw(st.booleans()):
                     continue
                 lo, hi = (u, v) if levels[u] < levels[v] else (v, u)
                 down[lo].append(hi)  # hi is at a later (larger) level
                 up[hi].append(lo)
+            # Partners that carry no mass but inflate the degree (the DP
+            # divides by *full* list lengths): one that never classifies,
+            # and one that classifies with no level.
             if draw(st.booleans()):
-                # an unclassified partner: inflates the degree (the DP
-                # divides by *full* list lengths) but carries no mass
-                up[u].append(ghost)
+                (up if draw(st.booleans()) else down)[u].append(ghost)
                 ghost += 1
-        seeds = {u for u in nodes if draw(st.booleans())}
-        return levels, up, down, seeds
+            if dead and draw(st.booleans()):
+                (up if draw(st.booleans()) else down)[u].append(
+                    draw(st.sampled_from(dead))
+                )
+        order = draw(st.permutations(nodes))  # classification order
+        seeds = frozenset(u for u in nodes if draw(st.booleans()))
+        return order, levels, up, down, seeds
 
     @pytest.mark.property
     @settings(max_examples=80, deadline=None)
     @given(instance=dp_instances())
     def test_dp_passes_match_interpreted(instance):
-        levels, up, down, seeds = instance
-        oracle = FakeDPOracle(levels, up, down)
-        expected = interpreted_dp(oracle, seeds, len(seeds))
-        got = _kernel_ops("numpy").dp_tables(oracle, seeds, len(seeds))
-        assert got == expected  # dict equality: exact floats, same keys
+        """After every classification, the incremental tables equal the
+        dict recursion over the nodes classified so far."""
+        order, levels, up, down, seeds = instance
+        state = _DPGraphState()
+        for k, node in enumerate(order):
+            state.note_classified(node, levels[node], up[node], down[node])
+            classified = FakeDPOracle({u: levels[u] for u in order[: k + 1]}, up, down)
+            expected = interpreted_dp(classified, seeds, len(seeds))
+            # dict equality: exact floats, same keys
+            assert state.tables(seeds, len(seeds)) == expected
 
     @pytest.mark.property
     @settings(max_examples=60, deadline=None)
@@ -482,18 +516,8 @@ if HAVE_HYPOTHESIS:
             assert got == expected, (user_id, cap)
 
 
-@pytest.mark.skipif(not numba_available(), reason="numba not installed")
-def test_numba_dp_matches_python_backend():
-    levels = {1: 0, 2: 1, 3: 1, 4: 2, 5: 3}
-    up = {1: [], 2: [1], 3: [1, 99], 4: [2, 3], 5: [4]}
-    down = {1: [2, 3], 2: [4], 3: [4], 4: [5], 5: []}
-    oracle = FakeDPOracle(levels, up, down)
-    seeds = {4, 5}
-    assert _kernel_ops("numba").dp_tables(oracle, seeds, 2) == _kernel_ops(
-        "numpy"
-    ).dp_tables(oracle, seeds, 2)
-
-
 def test_dp_empty_subgraph():
-    oracle = FakeDPOracle({}, {}, {})
-    assert _kernel_ops("numpy").dp_tables(oracle, set(), 0) == ({}, {})
+    state = _DPGraphState()
+    assert state.tables(frozenset(), 0) == ({}, {})
+    state.note_classified(7, None, (), ())  # classified, but no level
+    assert state.tables(frozenset({7}), 1) == ({}, {})

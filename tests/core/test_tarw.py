@@ -47,7 +47,7 @@ class TestWalkMechanics:
         estimator._seeds = estimator.context.seeds()
         estimator._seed_set = frozenset(estimator._seeds)
         oracle = estimator.oracle
-        path = estimator._walk_up(estimator._seeds[0])
+        path, _ = estimator._instance_runner("discovery")()
         levels = [oracle.level_of(node) for node in path]
         assert all(b < a for a, b in zip(levels, levels[1:]))
         assert not oracle.up_neighbors(path[-1])  # ends at a local root
@@ -58,8 +58,8 @@ class TestWalkMechanics:
         estimator._seeds = estimator.context.seeds()
         estimator._seed_set = frozenset(estimator._seeds)
         oracle = estimator.oracle
-        root = estimator._walk_up(estimator._seeds[0])[-1]
-        path = estimator._walk_down(root)
+        up_path, path = estimator._instance_runner("discovery")()
+        assert path[0] == up_path[-1]  # the down-phase starts at the root
         levels = [oracle.level_of(node) for node in path]
         assert all(b > a for a, b in zip(levels, levels[1:]))
         assert not oracle.down_neighbors(path[-1])  # ends at a local sink
