@@ -136,16 +136,16 @@ class FastPathOps:
     # ------------------------------------------------------------------
     # timelines / first mentions
     # ------------------------------------------------------------------
-    def note_slow_detour(self) -> None:
-        """Count one per-user fallback to the layered timeline fetch.
+    def note_slow_detour(self, count: int = 1) -> None:
+        """Count *count* per-user fallbacks to the layered timeline fetch.
 
         Shared with the compiled kernel's capped-window resolution
         (:mod:`repro.core.kernels`), which replaces the detour's *work*
         but deliberately replays its counter and metric so kernel-on and
         kernel-off runs report identical telemetry."""
-        self.slow_timeline_detours += 1
+        self.slow_timeline_detours += count
         if self._metrics is not None:
-            self._metrics.counter("fastpath.slow_detour", api="timeline").inc()
+            self._metrics.counter("fastpath.slow_detour", api="timeline").inc(count)
 
     def _slow_first_mention(self, user_id: int) -> Optional[float]:
         """Ordinary layered fetch — identical charges, trace and cache

@@ -90,6 +90,9 @@ class TARWConfig:
     (variance reduction; the paper's analysis uses one).  Only used with
     ``p_method="estimate"``."""
     pool_min_samples: int = 128
+    """Grow a node's ESTIMATE-p pool to at least this many samples on
+    first visit.  Extra samples over already-classified regions cost no
+    API calls (the cache absorbs them), only CPU."""
     pool_decay: float = 0.95
     """Geometric forgetting applied to a node's pool on each refresh.
 
@@ -97,23 +100,11 @@ class TARWConfig:
     (used by the sampled-backup shortcut) are still immature; without
     forgetting, that stale noise stays in the pool forever.  Decay < 1
     keeps the pool tracking the improving fixed point.  1.0 disables."""
-    """Grow a node's ESTIMATE-p pool to at least this many samples on
-    first visit.  Extra samples over already-classified regions cost no
-    API calls (the cache absorbs them), only CPU."""
     discovery_budget_fraction: float = 0.25
     """At most this fraction of the query budget may be spent by the
     bottom-discovery warm-up, so small budgets still leave room for
     estimation instances."""
     discovery_instances: int = 600
-    final_recount_instances: int = 4_000
-    """After the budget is spent, refresh the seed set to *every*
-    classified sink (sinks learned anywhere during the run, not just walk
-    endpoints), reset the visit counters, and re-accumulate them with this
-    many walk instances confined to the already-cached region.  These
-    walks cost zero API calls — only CPU — and they fix two late-run
-    inconsistencies at once: the start distribution matches the final
-    (largest) seed set, and the visit counters reflect only that
-    distribution.  0 disables."""
     """Warm-up walks that *discover bottom nodes* before estimation.
 
     The paper assumes the search API returns the complete bottom level,
@@ -126,6 +117,15 @@ class TARWConfig:
     from the search seeds and promotes every sink they touch into the
     seed set, then freezes it — restoring the paper's assumption using
     only API-visible information."""
+    final_recount_instances: int = 4_000
+    """After the budget is spent, refresh the seed set to *every*
+    classified sink (sinks learned anywhere during the run, not just walk
+    endpoints), reset the visit counters, and re-accumulate them with this
+    many walk instances confined to the already-cached region.  These
+    walks cost zero API calls — only CPU — and they fix two late-run
+    inconsistencies at once: the start distribution matches the final
+    (largest) seed set, and the visit counters reflect only that
+    distribution.  0 disables."""
     accumulate_p_estimates: bool = True
     """Pool every ESTIMATE-p sample a node ever receives into a running
     mean.  ESTIMATE-p is unbiased but heavy-tailed — most single walks
@@ -387,6 +387,10 @@ class MATARWEstimator(BaseWalker):
         self._visits_down: Dict[int, int] = {}
         self._paper_paths: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
         self._instance_counter = 0
+        self._dead_ends: Dict[int, Tuple[int, Tuple[int, int, int], bool]] = {}
+        """Dead-end memo of the kernel stack: node -> (query total, counter
+        deltas, confirmed) of its last budget-rejected classification (see
+        :meth:`_dead_end_fetch`)."""
         self.zero_probability_drops = 0
         self.fault_aborted_instances = 0
         # Deterministic DP state (p_method="dp").
@@ -435,20 +439,7 @@ class MATARWEstimator(BaseWalker):
             run_instance = self._instance_runner("walk")
             while config.max_instances is None or instances < config.max_instances:
                 try:
-                    up_path, down_path = run_instance()
-                    path_length_total += len(up_path) + len(down_path) - 1
-                    instances += 1
-                    self._instance_counter = instances
-                except BudgetExhaustedError:
-                    # Instances are independent restarts, so one that needed
-                    # fresh (unaffordable) data can be skipped; later
-                    # instances confined to already-cached regions complete
-                    # at zero API cost and keep sharpening the estimate.
-                    budget_aborted_instances += 1
-                    stalled_since += 1
-                    if stalled_since >= config.stall_instances:
-                        break
-                    continue
+                    paths = run_instance()
                 except TransientAPIError:
                     # Walk-level recovery, stage 2: step retries were already
                     # exhausted (see _oracle_step), so checkpoint — visit
@@ -460,6 +451,20 @@ class MATARWEstimator(BaseWalker):
                     if stalled_since >= config.stall_instances:
                         break
                     continue
+                if paths is None:
+                    # Instances are independent restarts, so one that needed
+                    # fresh (unaffordable) data can be skipped; later
+                    # instances confined to already-cached regions complete
+                    # at zero API cost and keep sharpening the estimate.
+                    budget_aborted_instances += 1
+                    stalled_since += 1
+                    if stalled_since >= config.stall_instances:
+                        break
+                    continue
+                up_path, down_path = paths
+                path_length_total += len(up_path) + len(down_path) - 1
+                instances += 1
+                self._instance_counter = instances
                 cost = self._cost()
                 if instances >= next_trace:
                     # Geometric spacing: each recompute scans the distinct
@@ -561,12 +566,15 @@ class MATARWEstimator(BaseWalker):
         while completed < config.final_recount_instances and attempts_left > 0:
             attempts_left -= 1
             try:
-                run_instance()
-                completed += 1
-            except (BudgetExhaustedError, TransientAPIError):
+                paths = run_instance()
+            except TransientAPIError:
+                paths = None
+            if paths is None:
                 aborted += 1
                 if aborted > config.stall_instances and completed == 0:
                     break
+            else:
+                completed += 1
         self._instance_counter = completed
         if span is not None:
             span.add(completed=completed, aborted=aborted).close()
@@ -592,22 +600,22 @@ class MATARWEstimator(BaseWalker):
         budget = getattr(self.context.client.meter, "budget", None)  # type: ignore[attr-defined]
         spend_cap = None if budget is None else budget * self.config.discovery_budget_fraction
         run_instance = self._instance_runner("discovery")
-        try:
-            for _ in range(self.config.discovery_instances):
-                if spend_cap is not None and self._cost() >= spend_cap:
-                    break
-                try:
-                    up_path, down_path = run_instance()
-                except TransientAPIError:
-                    # Abandon this warm-up walk (its sinks are lost) but
-                    # keep discovering: each walk restarts from a seed.
-                    self.fault_aborted_instances += 1
-                    continue
-                for node in up_path + down_path:
-                    if not self.oracle.down_neighbors(node):
-                        discovered.add(node)
-        except BudgetExhaustedError:
-            pass  # keep whatever was discovered; estimation may still run
+        for _ in range(self.config.discovery_instances):
+            if spend_cap is not None and self._cost() >= spend_cap:
+                break
+            try:
+                paths = run_instance()
+            except TransientAPIError:
+                # Abandon this warm-up walk (its sinks are lost) but
+                # keep discovering: each walk restarts from a seed.
+                self.fault_aborted_instances += 1
+                continue
+            if paths is None:
+                break  # keep whatever was discovered; estimation may still run
+            up_path, down_path = paths
+            for node in up_path + down_path:
+                if not self.oracle.down_neighbors(node):
+                    discovered.add(node)
         self._seeds = sorted(discovered)
         if span is not None:
             span.add(promoted=len(discovered) - initial).close()
@@ -615,10 +623,14 @@ class MATARWEstimator(BaseWalker):
     # ------------------------------------------------------------------
     # the walk engine: one bottom-top-bottom instance runner
     # ------------------------------------------------------------------
-    def _instance_runner(self, phase: str) -> Callable[[], Tuple[List[int], List[int]]]:
+    def _instance_runner(
+        self, phase: str
+    ) -> Callable[[], Optional[Tuple[List[int], List[int]]]]:
         """Build ``run_instance() -> (up_path, down_path)`` for one *phase*
         (``"discovery"``, ``"walk"`` or ``"recount"``): the one stepping
-        loop every MA-TARW walk runs, on every client stack.
+        loop every MA-TARW walk runs, on every client stack.  An instance
+        that needs data the budget can no longer buy returns None (the
+        callers' budget-abort branch); unhealed faults still raise.
 
         An instance picks a uniformly random seed, climbs uniformly random
         up-neighbors to a local root, then descends uniformly random
@@ -640,7 +652,8 @@ class MATARWEstimator(BaseWalker):
         * **neighbour fetch** — a classified node is read straight off the
           oracle's up/down memo (the accessor would return the same list
           at no API cost).  A miss classifies through the oracle accessor:
-          directly when the kernel resolved (a clean stack, where
+          through the dead-end memo (:meth:`_dead_end_fetch`) when the
+          kernel resolved (a clean stack, where
           :class:`TransientAPIError` cannot surface), through the
           :meth:`_oracle_step` retry wrapper otherwise.
         * **index draw** — for a stock ``random.Random``, ``choice(seq)``
@@ -666,8 +679,8 @@ class MATARWEstimator(BaseWalker):
         kernel = self._kernel
         max_length = config.max_path_length
         if kernel is not None:
-            fetch_up = oracle.up_neighbors
-            fetch_down = oracle.down_neighbors
+            fetch_up = self._dead_end_fetch(kernel, oracle.up_neighbors)
+            fetch_down = self._dead_end_fetch(kernel, oracle.down_neighbors)
         else:
             retry = self._oracle_step
             up_neighbors = oracle.up_neighbors
@@ -713,7 +726,11 @@ class MATARWEstimator(BaseWalker):
         visits_up = self._visits_up
         visits_down = self._visits_down
 
-        def run_instance() -> Tuple[List[int], List[int]]:
+        def aborted(span) -> None:
+            if span is not None:
+                span.add(error="BudgetExhaustedError").close()
+
+        def run_instance() -> Optional[Tuple[List[int], List[int]]]:
             span = trace.span("tarw.instance", phase=phase) if trace is not None else None
             try:
                 seeds = self._seeds
@@ -726,6 +743,8 @@ class MATARWEstimator(BaseWalker):
                     candidates = up_memo(current)
                     if candidates is None:
                         candidates = fetch_up(current)
+                        if candidates is None:
+                            return aborted(span)
                     if not candidates:
                         break
                     if getrandbits is None:
@@ -747,6 +766,8 @@ class MATARWEstimator(BaseWalker):
                     candidates = down_memo(current)
                     if candidates is None:
                         candidates = fetch_down(current)
+                        if candidates is None:
+                            return aborted(span)
                     if not candidates:
                         break
                     if getrandbits is None:
@@ -763,40 +784,47 @@ class MATARWEstimator(BaseWalker):
                         raise EstimationError(
                             "down-phase exceeded max_path_length; level oracle is cyclic?"
                         )
+            except BudgetExhaustedError:
+                # Aborted instance: the span still closes with the failure
+                # class so traces show *where* walks die.
+                return aborted(span)
             except Exception as err:
                 if span is not None:
-                    # Aborted instance: emit the span with the failure class
-                    # so traces show *where* walks die, then let walk-level
-                    # recovery in the caller decide what happens next.
                     span.add(error=type(err).__name__).close()
-                raise
+                raise  # walk-level recovery in the caller decides what next
             if not counting:
                 return up_path, down_path
-            for direction, visits, path in (
-                ("up", visits_up, up_path),
-                ("down", visits_down, down_path),
-            ):
-                if prefetch is not None:
-                    prefetch(path)
-                visits_get = visits.get
-                for node in path:
-                    if metrics is not None:
-                        # level_of is memoised for every walked node (the
-                        # walk classified it): occupancy telemetry is free.
-                        level = level_of(node)
-                        if level is not None:
-                            metrics.counter(
-                                "tarw.level_visits", level=level, phase=direction
-                            ).inc()
-                    matches = cached_condition(node)
-                    if matches is None:
-                        matches = condition_matches(node)
-                    if not matches:
-                        continue  # contributes 0 regardless of p(u): skip its cost
-                    visits[node] = visits_get(node, 0) + 1
-                    if refresh is not None:
-                        refresh(node, direction)
-                self._dp_dirty = True
+            try:
+                for direction, visits, path in (
+                    ("up", visits_up, up_path),
+                    ("down", visits_down, down_path),
+                ):
+                    if prefetch is not None:
+                        prefetch(path)
+                    visits_get = visits.get
+                    for node in path:
+                        if metrics is not None:
+                            # level_of is memoised for every walked node (the
+                            # walk classified it): occupancy telemetry is free.
+                            level = level_of(node)
+                            if level is not None:
+                                metrics.counter(
+                                    "tarw.level_visits", level=level, phase=direction
+                                ).inc()
+                        matches = cached_condition(node)
+                        if matches is None:
+                            matches = condition_matches(node)
+                        if not matches:
+                            continue  # contributes 0 regardless of p(u): skip its cost
+                        visits[node] = visits_get(node, 0) + 1
+                        if refresh is not None:
+                            refresh(node, direction)
+                    self._dp_dirty = True
+            except BudgetExhaustedError:
+                # A condition check re-fetching a timeline that was served
+                # but never cached (a fault-degraded response): the instance
+                # aborts with the visits counted so far and its span unsent.
+                return None
             if paper_paths is not None:
                 paper_paths.append((tuple(up_path), tuple(down_path)))
             if span is not None:
@@ -821,6 +849,48 @@ class MATARWEstimator(BaseWalker):
             return up_path, down_path
 
         return run_instance
+
+    def _dead_end_fetch(
+        self, kernel, lookup: Callable[[int], List[int]]
+    ) -> Callable[[int], Optional[List[int]]]:
+        """Wrap the kernel stack's classifying *lookup* in the dead-end memo.
+
+        Returns None instead of raising when the budget rejects the
+        classification.  On this stack a rejected classification changes
+        nothing but three counters (:meth:`KernelOps.failure_counters`)
+        once its neighbourhood prefix is memoised, so two consecutive
+        failures of one node at the same query total with identical
+        counter deltas are a fixed point: until the query total moves,
+        every later attempt would add those deltas and fail again.  Such
+        attempts only replay the deltas (:meth:`KernelOps.replay_failure`)
+        and skip the classifier.  A first failure is never replayed: it may
+        have memoised prefix users or filled a cache entry, which changes
+        the next attempt's footprint.
+        """
+        dead_ends = self._dead_ends
+        dead_end = dead_ends.get
+        meter = kernel.sim.meter
+        counters = kernel.failure_counters
+        replay = kernel.replay_failure
+
+        def fetch(node: int) -> Optional[List[int]]:
+            spent = meter.query_total
+            entry = dead_end(node)
+            if entry is not None and entry[0] != spent:
+                entry = None  # recorded before the last spend: stale
+            if entry is not None and entry[2]:
+                replay(entry[1])
+                return None
+            before = counters()
+            try:
+                return lookup(node)
+            except BudgetExhaustedError:
+                if meter.query_total == spent:
+                    deltas = tuple(a - b for a, b in zip(counters(), before))
+                    dead_ends[node] = (spent, deltas, entry is not None and entry[1] == deltas)
+                return None
+
+        return fetch
 
     def _refresh_p(self, node: int, direction: str) -> float:
         """Add a batch of ESTIMATE-p samples for *node* to its pool.

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from repro.api.resilient import ResilientClient
 from repro.core.analyzer import MicroblogAnalyzer
 from repro.core.graph_builder import LevelByLevelOracle, QueryContext
 from repro.core.kernels import (
+    KernelOps,
     first_mention_from_columns,
     kernel_enabled,
     set_kernel_enabled,
@@ -51,6 +53,7 @@ from repro.obs.export import trace_lines
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import RecordingSink
 from repro.platform.clock import DAY
+from repro.platform.profiles import PlatformProfile
 from repro.platform.simulator import PlatformConfig, build_platform
 from tests.conftest import tiny_keywords
 from tests.obs.conftest import (
@@ -358,6 +361,138 @@ class TestCappedTimelines:
                     assert got == expected, (keyword, user_id, cap)
 
 
+# ----------------------------------------------------------------------
+# budget exhaustion: dead-end replays ≡ re-running the classifier
+# ----------------------------------------------------------------------
+@dataclasses.dataclass(frozen=True)
+class FreeConnectionsProfile(PlatformProfile):
+    """Connections pages cost zero calls, so a connections miss succeeds
+    at any spend: a budget-rejected classification still fills the
+    connections cache (and traces a zero-call ``api.call``)."""
+
+    def calls_for_items(self, items: int, page_size: int) -> int:
+        if page_size == self.connections_page_size:
+            return 0
+        return super().calls_for_items(items, page_size)
+
+
+def _exhausting_run(platform, enabled, traced, budget, seed=3, prewarm=()):
+    """Default-config MA-TARW on a budget it runs out of.
+
+    Returns what must not depend on the kernel (value, bill, trace
+    points, diagnostics, cache hits — the analyzer's ``cache_hits`` —
+    and misses, capped-timeline detours, metrics counters minus the
+    ``kernel.*`` resolution guards, trace bytes), the budget the final
+    recount spent, and the ``(query total, deltas)`` of every replayed
+    dead end.  *prewarm* timelines are fetched through the caching client
+    first, so classification batches find them as cache hits."""
+    obs = (
+        Observability(trace_sink=RecordingSink(), metrics=MetricsRegistry())
+        if traced
+        else Observability()
+    )
+    replayed = []
+    recount_spend = []
+    replay = KernelOps.replay_failure
+    recount = MATARWEstimator._final_recount
+
+    def spy_replay(self, deltas):
+        replayed.append((self.sim.meter.query_total, deltas))
+        replay(self, deltas)
+
+    def spy_recount(self):
+        before = self._cost()
+        recounted = recount(self)
+        recount_spend.append(self._cost() - before)
+        return recounted
+
+    with kernel_switch(enabled), mock.patch.object(
+        KernelOps, "replay_failure", spy_replay
+    ), mock.patch.object(MATARWEstimator, "_final_recount", spy_recount):
+        sim = SimulatedMicroblogClient(platform, budget=budget, obs=obs)
+        obs.bind_clock(sim.clock)
+        client = CachingClient(sim, obs=obs)
+        for user_id in prewarm:
+            client.user_timeline(user_id)
+        context = QueryContext(client, count_users(KEYWORD), obs=obs)
+        oracle = LevelByLevelOracle(context, LevelIndex(interval=DAY))
+        result = MATARWEstimator(context, oracle, seed=seed).estimate()
+    assert (context.kernel is not None) == enabled
+    observed = dict(
+        value=result.value,
+        cost_total=result.cost_total,
+        cost_by_kind=result.cost_by_kind,
+        trace_points=result.trace,
+        diagnostics=result.diagnostics,
+        cache_hits=client.hits,
+        cache_misses=client.misses,
+        detours=context.fast.slow_timeline_detours,
+    )
+    if traced:
+        observed["counters"] = {
+            key: value
+            for key, value in obs.metrics.snapshot()["counters"].items()
+            if not key.startswith("kernel.")
+        }
+        observed["trace"] = "\n".join(trace_lines(obs.trace_records())) + "\n"
+    return observed, recount_spend[0], replayed
+
+
+EXHAUSTION_CASES = {
+    # the walk spends the budget to exactly 0
+    "spent-to-zero": dict(budget=1_000),
+    # two-user connection pages make some classifications cost more than
+    # the calls left: dead ends replay while cheaper nodes (in the recount
+    # too) still charge, so the query total moves past confirmed entries
+    "budget-left-over": dict(budget=3_500, seed=1, profile=dict(connections_page_size=2)),
+    # capped users fail through the fast path's detour counter
+    "capped-timelines": dict(budget=600, profile=dict(timeline_cap=2)),
+}
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["dark", "traced"])
+@pytest.mark.parametrize("case", sorted(EXHAUSTION_CASES))
+def test_dead_end_replays_match_interpreted(tiny_platform, case, traced):
+    spec = dict(EXHAUSTION_CASES[case])
+    platform = tiny_platform
+    profile = spec.pop("profile", None)
+    if profile is not None:
+        platform = platform.with_profile(dataclasses.replace(platform.profile, **profile))
+    off, off_spend, off_replayed = _exhausting_run(platform, False, traced, **spec)
+    on, on_spend, on_replayed = _exhausting_run(platform, True, traced, **spec)
+    assert off_replayed == []  # the interpreted path classifies every attempt
+    assert on_replayed, "no dead end replayed: the case no longer exercises the memo"
+    assert on == off
+    assert on_spend == off_spend
+    budget = spec["budget"]
+    if case == "spent-to-zero":
+        assert on["cost_total"] == budget
+    elif case == "budget-left-over":
+        assert on["cost_total"] < budget
+        assert on_spend > 0
+        assert min(spent for spent, _ in on_replayed) < on["cost_total"]
+    else:
+        assert on["detours"] > 0
+        assert any(detours for _, (_, _, detours) in on_replayed)
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["dark", "traced"])
+def test_first_failure_with_side_effects_is_not_replayed(tiny_platform, traced):
+    """A first failure that memoises cache-hit prefix users and fills the
+    connections cache through a zero-call charge changes the next
+    attempt's footprint (hits and misses move), so only the later,
+    identical failures may replay."""
+    profile = FreeConnectionsProfile(**dataclasses.asdict(tiny_platform.profile))
+    platform = tiny_platform.with_profile(profile)
+    users, _ = platform.store.first_mention_arrays(KEYWORD)
+    prewarm = users.tolist()[::2]
+    spec = dict(budget=len(prewarm) + 300, prewarm=prewarm)
+    off, _, _ = _exhausting_run(platform, False, traced, **spec)
+    on, _, on_replayed = _exhausting_run(platform, True, traced, **spec)
+    assert on_replayed
+    assert on == off
+    if traced:
+        assert '"calls":0' in on["trace"]
 # ----------------------------------------------------------------------
 # Eq. 6 DP: incremental evaluator ≡ interpreted dict recursion
 # ----------------------------------------------------------------------
