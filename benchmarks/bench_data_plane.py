@@ -1,11 +1,9 @@
 """Data-plane benchmark: build time and walk throughput per serving form.
 
-Three data planes (see ``repro.platform.simulator.DATA_PLANES``):
+Two in-RAM data planes (see ``repro.platform.simulator.DATA_PLANES``):
 
-* ``baseline`` — the pre-columnar scalar build and mutable serving path,
-  kept as the historical reference point;
-* ``legacy``   — vectorized columnar build, mutable dict/list serving;
-* ``frozen``   — vectorized build compiled to FrozenStore + CSR graph.
+* ``legacy`` — vectorized columnar build, mutable dict/list serving;
+* ``frozen`` — vectorized build compiled to FrozenStore + CSR graph.
 
 For each platform scale this bench measures ``build_platform`` wall time
 and random-walk throughput over the connections API (steps/sec through a
@@ -14,9 +12,9 @@ end-to-end ``replicate_runs`` on the bench platform.  Results go to
 ``benchmarks/results/data_plane.txt`` and a machine-readable trajectory
 file ``BENCH_data_plane.json`` at the repo root.
 
-The baseline build is skipped at the largest scale (it would dominate the
-bench's runtime for a number that extrapolates cleanly from 8k/30k); the
-table marks it n/a rather than hiding the omission.
+The pre-columnar scalar build (the removed ``baseline`` plane) is no
+longer measured; its last committed rows ride along verbatim as
+:data:`HISTORICAL_BASELINE`, labelled "not re-measured" in the JSON.
 """
 
 import json
@@ -30,15 +28,28 @@ from repro.core.query import count_users
 from repro.platform.simulator import PlatformConfig, build_platform
 
 SCALES = (
-    # (num_users, background_posts_mean, include_baseline)
-    (8_000, 45.0, True),
-    (30_000, 45.0, True),
-    (100_000, 6.0, False),
+    # (num_users, background_posts_mean)
+    (8_000, 45.0),
+    (30_000, 45.0),
+    (100_000, 6.0),
 )
+PLANES = ("legacy", "frozen")
 WALK_STEPS = 50_000
 REPLICATES = 3
 REPLICATE_BUDGET = 8_000
 JSON_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_data_plane.json"
+HISTORICAL_BASELINE = {
+    "note": "not re-measured: last committed rows of the removed scalar 'baseline' plane",
+    "scales": {
+        "8000": {"build_seconds": 2.106, "walk_steps_per_sec": 705223.8, "num_posts": 396764},
+        "30000": {"build_seconds": 7.332, "walk_steps_per_sec": 390907.2, "num_posts": 1454489},
+    },
+    "replicate_runs": {
+        "build_seconds": 2.088,
+        "estimate_seconds": 1.579,
+        "total_seconds": 3.667,
+    },
+}
 
 
 def _build(num_users, mean, plane, repeats=1):
@@ -83,11 +94,10 @@ def _walk_steps_per_sec(platform, steps=WALK_STEPS, seed=7):
 def compute():
     record = {"seed": BENCH_PLATFORM_SEED, "scales": [], "replicate_runs": {}}
     rows = []
-    for num_users, mean, include_baseline in SCALES:
-        planes = ("baseline", "legacy", "frozen") if include_baseline else ("legacy", "frozen")
+    for num_users, mean in SCALES:
         entry = {"num_users": num_users, "background_posts_mean": mean, "planes": {}}
         timings = {}
-        for plane in planes:
+        for plane in PLANES:
             platform, build_seconds = _build(num_users, mean, plane, repeats=2)
             walk_rate = _walk_steps_per_sec(platform)
             timings[plane] = (build_seconds, walk_rate)
@@ -97,18 +107,17 @@ def compute():
                 "num_posts": platform.store.num_posts,
             }
             del platform  # free before the next (possibly 100k-user) build
-        reference = "baseline" if include_baseline else "legacy"
-        speedup = timings[reference][0] / timings["frozen"][0]
-        entry["build_speedup_frozen_vs_" + reference] = round(speedup, 2)
+        speedup = timings["legacy"][0] / timings["frozen"][0]
+        entry["build_speedup_frozen_vs_legacy"] = round(speedup, 2)
         record["scales"].append(entry)
-        for plane in ("baseline", "legacy", "frozen"):
-            timing = timings.get(plane)
+        for plane in PLANES:
+            build_seconds, walk_rate = timings[plane]
             rows.append(
                 [
                     f"{num_users:,}",
                     plane,
-                    None if timing is None else timing[0],
-                    None if timing is None else timing[1],
+                    build_seconds,
+                    walk_rate,
                     speedup if plane == "frozen" else None,
                 ]
             )
@@ -119,7 +128,7 @@ def compute():
     # reported separately but compared as a whole — the time a user waits
     # from cold start to results.
     query = count_users("privacy")
-    for plane in ("baseline", "frozen"):
+    for plane in PLANES:
         platform, build_seconds = _build(8_000, 45.0, plane)
         start = time.perf_counter()
         replicate_runs(
@@ -133,11 +142,17 @@ def compute():
         }
         del platform
     record["replicate_runs"]["speedup"] = round(
-        record["replicate_runs"]["baseline"]["total_seconds"]
+        record["replicate_runs"]["legacy"]["total_seconds"]
         / record["replicate_runs"]["frozen"]["total_seconds"],
         2,
     )
+    record["historical_baseline"] = HISTORICAL_BASELINE
 
+    # bench_scale.py owns the "scale" section of the same file; keep it.
+    if JSON_PATH.exists():
+        previous = json.loads(JSON_PATH.read_text(encoding="utf-8"))
+        if "scale" in previous:
+            record["scale"] = previous["scale"]
     JSON_PATH.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return rows, record
 
@@ -162,13 +177,14 @@ def test_data_plane_speedups(once):
                     record["replicate_runs"][plane]["estimate_seconds"],
                     record["replicate_runs"][plane]["total_seconds"],
                 ]
-                for plane in ("baseline", "frozen")
+                for plane in PLANES
             ]
             + [["speedup", None, None, record["replicate_runs"]["speedup"]]],
         ),
     )
-    by_scale = {entry["num_users"]: entry for entry in record["scales"]}
-    # The PR's headline claim: >= 5x faster builds at 30k users.
-    assert by_scale[30_000]["build_speedup_frozen_vs_baseline"] >= 5.0
-    # And end-to-end estimation (cold start to results) must be faster.
+    # Same-machine comparisons against the mutable legacy plane: the frozen
+    # build must be faster at every scale, and so must end-to-end
+    # estimation (cold start to results).
+    for entry in record["scales"]:
+        assert entry["build_speedup_frozen_vs_legacy"] > 1.0, entry["num_users"]
     assert record["replicate_runs"]["speedup"] > 1.0

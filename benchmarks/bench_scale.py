@@ -261,11 +261,13 @@ def render(results) -> str:
 
 
 def main() -> int:
+    from repro.platform.simulator import DATA_PLANES
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="CI scale-smoke: identity cell + gated 2M-row streaming build")
     parser.add_argument("--chunk-rows", type=int, default=262_144)
-    parser.add_argument("--cell", choices=("frozen", "mmap", "legacy", "baseline"),
+    parser.add_argument("--cell", choices=DATA_PLANES,
                         help=argparse.SUPPRESS)
     parser.add_argument("--users", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--bg-mean", type=float, help=argparse.SUPPRESS)

@@ -39,7 +39,6 @@ from repro.core.interval import IntervalSelection, select_time_interval, DEFAULT
 from repro.core.srw import MASRWEstimator, SRWConfig
 from repro.core.tarw import MATARWEstimator, TARWConfig
 from repro.core.mr import MarkRecaptureEstimator, MRConfig
-from repro.core.crawler import CrawlConfig, CrawlEstimator
 from repro.core.confidence import ConfidenceResult, combine_replicates, t_quantile
 from repro.core.sql import parse_query
 from repro.core.analyzer import MicroblogAnalyzer
@@ -71,8 +70,6 @@ __all__ = [
     "TARWConfig",
     "MarkRecaptureEstimator",
     "MRConfig",
-    "CrawlEstimator",
-    "CrawlConfig",
     "ConfidenceResult",
     "combine_replicates",
     "t_quantile",

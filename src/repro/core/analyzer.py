@@ -19,7 +19,6 @@ from repro._rng import RandomLike, ensure_rng, spawn
 from repro.api.client import CachingClient, SimulatedMicroblogClient
 from repro.api.faults import FaultInjectingClient, FaultPlan
 from repro.api.resilient import ResilientClient, RetryPolicy
-from repro.core.crawler import CrawlConfig
 from repro.core.frontier import FrontierConfig
 from repro.core.graph_builder import (
     LevelByLevelOracle,
@@ -65,7 +64,6 @@ class MicroblogAnalyzer:
         srw_config: Optional[SRWConfig] = None,
         tarw_config: Optional[TARWConfig] = None,
         mr_config: Optional[MRConfig] = None,
-        crawl_config: Optional[CrawlConfig] = None,
         rewired_config: Optional[RewiredConfig] = None,
         wnw_config: Optional[WNWConfig] = None,
         frontier_config: Optional[FrontierConfig] = None,
@@ -97,10 +95,6 @@ class MicroblogAnalyzer:
         self.level_index = level_index
         """Explicit level index (e.g. a QuantileLevelIndex); overrides
         ``interval`` when set."""
-        self.srw_config = srw_config or SRWConfig()
-        self.tarw_config = tarw_config or TARWConfig()
-        self.mr_config = mr_config or MRConfig()
-        self.crawl_config = crawl_config or CrawlConfig()
         overrides = {
             "ma-tarw": tarw_config,
             "ma-srw": srw_config,
@@ -108,7 +102,6 @@ class MicroblogAnalyzer:
             "wnw": wnw_config,
             "frontier": frontier_config,
             "m&r": mr_config,
-            "crawl": crawl_config,
         }
         override = overrides.get(algorithm)
         self.walker_config = override if override is not None else spec.config_cls()
@@ -150,8 +143,8 @@ class MicroblogAnalyzer:
         (the default) keeps the classic single-walker serial run; any
         integer — including 1 — switches to the shard-merge engine, whose
         point estimate depends on the seed and shard count but never on
-        the worker count.  Walkers without a driver (``m&r``, ``crawl``)
-        ignore it."""
+        the worker count.  The walker without a driver (``m&r``) ignores
+        it."""
         if n_workers is not None:
             from repro.parallel.engine import ParallelConfig
 

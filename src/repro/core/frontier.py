@@ -26,11 +26,11 @@ chain.  Two practical consequences implemented here:
   degree mass is small), which is the paper's budget argument.
 
 Sample assembly is the shared degree-reweighted machinery (stationary
-probability ∝ degree holds marginally for each walker), generalising the
-budgeted multi-seed crawl loop of ``core/crawler.py`` into an unbiased
-estimator — the crawl baseline visits each node once and cannot reweight;
-frontier revisits carry exactly the information Katzir's collision
-counter and the ratio estimators need.
+probability ∝ degree holds marginally for each walker), turning a
+budgeted multi-seed crawl loop into an unbiased estimator — a BFS crawl
+visits each node once and cannot reweight; frontier revisits carry
+exactly the information Katzir's collision counter and the ratio
+estimators need.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.core.crawler import CrawlEstimator
 from repro.core.frontier import FrontierEstimator
 from repro.core.mr import MarkRecaptureEstimator
 from repro.core.rewired import RewiredSRWEstimator
@@ -145,17 +144,6 @@ register_walker(
         summary=(
             "Mark-and-recapture COUNT baseline from walk collisions "
             "(Katzir et al., paper §6)."
-        ),
-        designs=GRAPH_DESIGNS,
-    )
-)
-register_walker(
-    WalkerSpec(
-        name="crawl",
-        estimator=CrawlEstimator,
-        summary=(
-            "Budgeted breadth-first crawl baseline (paper §3.2); superseded "
-            "by the frontier walker."
         ),
         designs=GRAPH_DESIGNS,
     )

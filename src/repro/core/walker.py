@@ -1,8 +1,8 @@
 """The common Walker protocol: shared substrate of every estimator.
 
 Every estimation algorithm in the zoo — MA-TARW, MA-SRW, the rewired and
-Walk-Not-Wait variants, the frontier sampler, M&R and the crawl baseline —
-is a *budgeted walker*: it consumes a :class:`~repro.core.graph_builder.
+Walk-Not-Wait variants, the frontier sampler and M&R — is a *budgeted
+walker*: it consumes a :class:`~repro.core.graph_builder.
 QueryContext` (memoised API knowledge + cost accounting), steps a neighbor
 oracle under a query budget, and assembles an
 :class:`~repro.core.results.EstimateResult`.  This module extracts the

@@ -169,7 +169,6 @@ def community_graph(
     hub_fraction: float = 0.015,
     hub_bias: float = 0.5,
     seed: RandomLike = None,
-    vectorized: bool = False,
 ) -> SocialGraph:
     """Community-structured social graph with heavy-tailed hubs.
 
@@ -191,11 +190,10 @@ def community_graph(
     saturates the communities it reaches (intra/adjacent-level edges)
     while few edges connect different waves (rare cross-level edges).
 
-    ``vectorized=True`` draws every random column in numpy batches — same
-    model, same marginal distributions, an order of magnitude faster at
-    10^4+ nodes — but a *different realization* for a given seed than the
-    scalar path.  The default stays scalar so existing seeds reproduce
-    byte-identical graphs; the columnar platform data planes opt in.
+    Every random column is drawn as one numpy batch — one Bernoulli per
+    intra-community pair, one hub-or-uniform target per long-range edge
+    with same-community draws rejected (not redrawn) — and the deduped
+    edges are bulk-inserted.
     """
     if n < 2:
         raise GraphError("need at least two nodes")
@@ -207,90 +205,9 @@ def community_graph(
         raise GraphError("hub_fraction must be in (0, 1)")
     import math
 
-    rng = ensure_rng(seed)
-    if vectorized:
-        return _community_graph_vectorized(
-            n,
-            mean_community_size,
-            within_degree,
-            inter_edges_per_node,
-            hub_fraction,
-            hub_bias,
-            rng,
-        )
-    graph = SocialGraph(nodes=range(n))
-
-    # Partition into lognormal-sized communities.
-    communities: List[List[int]] = []
-    cursor = 0
-    mu = math.log(mean_community_size) - 0.18  # sigma=0.6 => mean ~ e^{mu+0.18}
-    while cursor < n:
-        size = max(3, int(rng.lognormvariate(mu, 0.6)))
-        size = min(size, n - cursor)
-        communities.append(list(range(cursor, cursor + size)))
-        cursor += size
-
-    # Dense intra-community wiring.
-    for members in communities:
-        size = len(members)
-        if size < 2:
-            continue
-        p_in = min(within_degree / (size - 1), 1.0)
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                if rng.random() < p_in:
-                    graph.add_edge(u, v)
-
-    # Hubs: a small Zipf-weighted set that attracts long-range edges.
-    num_hubs = max(1, int(n * hub_fraction))
-    hubs = rng.sample(range(n), num_hubs)
-    hub_weights = [1.0 / (rank + 1) for rank in range(num_hubs)]
-
-    community_of = {}
-    for index, members in enumerate(communities):
-        for node in members:
-            community_of[node] = index
-
-    for u in range(n):
-        count = _rounded_count(inter_edges_per_node, rng)
-        for _ in range(count):
-            if rng.random() < hub_bias:
-                v = rng.choices(hubs, weights=hub_weights)[0]
-            else:
-                v = rng.randrange(n)
-            if v != u and community_of[v] != community_of[u]:
-                graph.add_edge(u, v)
-    return graph
-
-
-def _rounded_count(mean: float, rng) -> int:
-    """Integer draw with the given mean (floor + Bernoulli remainder)."""
-    base = int(mean)
-    return base + (1 if rng.random() < mean - base else 0)
-
-
-def _community_graph_vectorized(
-    n: int,
-    mean_community_size: float,
-    within_degree: float,
-    inter_edges_per_node: float,
-    hub_fraction: float,
-    hub_bias: float,
-    rng,
-) -> SocialGraph:
-    """Numpy batch-draw implementation of :func:`community_graph`.
-
-    Mirrors the scalar path draw-for-draw in *distribution* — lognormal
-    community sizes, per-pair Bernoulli intra-community edges, Zipf-hub or
-    uniform long-range targets with same-community rejection — but pulls
-    each random column as one vector, dedupes edges with ``np.unique`` and
-    bulk-inserts the result.
-    """
-    import math
-
     import numpy as np
 
-    nrng = np.random.default_rng(rng.getrandbits(128))
+    nrng = np.random.default_rng(ensure_rng(seed).getrandbits(128))
     mu = math.log(mean_community_size) - 0.18  # sigma=0.6 => mean ~ e^{mu+0.18}
 
     # Community sizes: batch lognormal draws, cut off once they cover n.

@@ -36,7 +36,6 @@ import numpy as np
 from repro._rng import RandomLike, ensure_rng
 from repro.errors import PlatformError
 from repro.platform.clock import DAY, HOUR, MINUTE
-from repro.platform.posts import Post, make_keywords
 from repro.platform.store import MicroblogStore
 from repro.platform.workload import KeywordSpec
 
@@ -152,25 +151,6 @@ def _poisson(rng, mean: float) -> int:
     return count
 
 
-def _make_mention_post(
-    store: MicroblogStore,
-    user_id: int,
-    timestamp: float,
-    keyword: str,
-    params: CascadeParams,
-    rng,
-) -> Post:
-    low, high = params.post_length_range
-    return Post(
-        post_id=store.new_post_id(),
-        user_id=user_id,
-        timestamp=timestamp,
-        keywords=make_keywords(keyword),
-        length=rng.randint(low, high),
-        likes=min(int(rng.paretovariate(params.likes_pareto_alpha)), 10_000) - 1,
-    )
-
-
 def run_cascade(
     store: MicroblogStore,
     spec: KeywordSpec,
@@ -178,7 +158,6 @@ def run_cascade(
     params: Optional[CascadeParams] = None,
     seed: RandomLike = None,
     intensity_scale: float = 1.0,
-    emission: str = "columnar",
 ) -> CascadeResult:
     """Simulate *spec*'s keyword over ``[0, horizon)`` and write posts.
 
@@ -187,16 +166,9 @@ def run_cascade(
     fixed *fraction* of the platform regardless of its size (intensities
     in :mod:`repro.platform.workload` are calibrated per 10k users).
 
-    ``emission`` selects how mention posts are written: ``"columnar"``
-    (default) batches per-adopter numpy draws into the store's bulk column
-    buffers; ``"scalar"`` is the original per-post python-rng path, kept
-    for baseline benchmarking and byte-compatible old-seed platforms.
-
     Returns the adoption-time map — the ground truth from which the
     level-by-level structure derives.  Deterministic given *seed*.
     """
-    if emission not in ("columnar", "scalar"):
-        raise PlatformError(f"unknown emission mode {emission!r}")
     params = params or CascadeParams()
     if intensity_scale <= 0:
         raise PlatformError("intensity_scale must be positive")
@@ -206,9 +178,8 @@ def run_cascade(
         raise PlatformError("store has no users")
     # Post *emission* draws (follow-up counts, gaps, lengths, likes) come in
     # numpy batches from a stream forked off the cascade rng up front, so
-    # the event-loop rng drives propagation only.  ``emission="scalar"``
-    # reproduces the pre-columnar per-post python draws exactly.
-    post_rng = np.random.default_rng(rng.getrandbits(128)) if emission == "columnar" else None
+    # the event-loop rng drives propagation only.
+    post_rng = np.random.default_rng(rng.getrandbits(128))
 
     # Exogenous seed events, day by day.
     events: List[Tuple[float, int]] = []
@@ -222,7 +193,6 @@ def run_cascade(
     heapq.heapify(events)
 
     adoption_times: Dict[int, float] = {}
-    total_posts = 0
     while events:
         timestamp, user_id = heapq.heappop(events)
         if timestamp >= horizon or user_id in adoption_times:
@@ -230,10 +200,6 @@ def run_cascade(
         if params.max_adopters is not None and len(adoption_times) >= params.max_adopters:
             break
         adoption_times[user_id] = timestamp
-        if post_rng is None:
-            total_posts += _emit_mentions(
-                store, user_id, timestamp, spec.keyword, horizon, params, rng
-            )
         neighbors = store.graph.neighbors_unsafe(user_id)
         if len(neighbors) > params.exposure_cap:
             exposed = rng.sample(list(neighbors), params.exposure_cap)
@@ -263,10 +229,9 @@ def run_cascade(
             delay = sample_response_delay(params, rng)
             heapq.heappush(events, (timestamp + delay, neighbor))
 
-    if post_rng is not None:
-        total_posts = _emit_mentions_columnar(
-            store, adoption_times, spec.keyword, horizon, params, post_rng
-        )
+    total_posts = _emit_mentions_columnar(
+        store, adoption_times, spec.keyword, horizon, params, post_rng
+    )
     return CascadeResult(spec.keyword, adoption_times, total_posts)
 
 
@@ -352,23 +317,3 @@ def _emit_mentions_columnar(
     store.add_posts_columnar(all_users, all_times, lengths, likes, keyword=keyword)
     return posted
 
-
-def _emit_mentions(
-    store: MicroblogStore,
-    user_id: int,
-    adoption_time: float,
-    keyword: str,
-    horizon: float,
-    params: CascadeParams,
-    rng,
-) -> int:
-    """First mention plus geometric follow-ups; returns posts written."""
-    store.add_post(_make_mention_post(store, user_id, adoption_time, keyword, params, rng))
-    posted = 1
-    for _ in range(_poisson(rng, params.extra_mentions_mean)):
-        gap = rng.expovariate(1.0 / params.extra_mention_gap_mean)
-        timestamp = adoption_time + gap
-        if timestamp < horizon:
-            store.add_post(_make_mention_post(store, user_id, timestamp, keyword, params, rng))
-            posted += 1
-    return posted

@@ -30,14 +30,13 @@ from repro.graph.social_graph import SocialGraph
 from repro.platform.cascade import CascadeParams, CascadeResult, run_cascade
 from repro.platform.clock import DAY, SimulatedClock
 from repro.platform.frozen import FrozenStore
-from repro.platform.posts import Post
 from repro.platform.profiles import TWITTER, PlatformProfile
 from repro.platform.store import MicroblogStore
-from repro.platform.users import generate_profile, generate_profiles
+from repro.platform.users import generate_profiles
 from repro.platform.workload import KeywordSpec, standard_keywords
 
 GRAPH_MODELS = ("community", "barabasi_albert", "watts_strogatz", "erdos_renyi")
-DATA_PLANES = ("frozen", "mmap", "legacy", "baseline")
+DATA_PLANES = ("frozen", "mmap", "legacy")
 """Data-plane modes for :func:`build_platform`:
 
 * ``"frozen"`` (default) — vectorized columnar build, compiled at the end
@@ -52,9 +51,6 @@ DATA_PLANES = ("frozen", "mmap", "legacy", "baseline")
 * ``"legacy"`` — the *same* vectorized build (identical RNG draws, hence
   identical platform data), served through the mutable dict/list store and
   dict-of-sets graph.  Exists so tests can pin frozen/legacy equivalence.
-* ``"baseline"`` — the pre-columnar scalar build: one python-rng draw and
-  one ``bisect.insort`` per post.  Byte-identical to historical platforms
-  for a given seed; kept as the benchmark reference point.
 """
 
 
@@ -146,7 +142,7 @@ class SimulatedPlatform:
         )
 
 
-def _build_graph(config: PlatformConfig, seed_rng, vectorized: bool = False) -> SocialGraph:
+def _build_graph(config: PlatformConfig, seed_rng) -> SocialGraph:
     params = dict(config.graph_params)
     if config.graph_model == "community":
         return community_graph(
@@ -157,7 +153,6 @@ def _build_graph(config: PlatformConfig, seed_rng, vectorized: bool = False) -> 
             hub_fraction=float(params.get("hub_fraction", 0.015)),
             hub_bias=float(params.get("hub_bias", 0.5)),
             seed=seed_rng,
-            vectorized=vectorized,
         )
     if config.graph_model == "barabasi_albert":
         return barabasi_albert_graph(config.num_users, int(params.get("m", 8)), seed=seed_rng)
@@ -175,16 +170,14 @@ def _add_background_posts(
     store: MicroblogStore,
     config: PlatformConfig,
     rng,
-    vectorized: bool = True,
     progress=None,
 ) -> None:
     """Keyword-free posts spread uniformly over the horizon.
 
     They give timelines realistic bulk (pagination and the 3 200-post cap
-    are exercised) without affecting keyword aggregates.  The vectorized
-    path draws every column in one numpy batch and hands the store a single
-    bulk chunk; the scalar path is the original one-``bisect.insort``-per-
-    post loop, kept for the ``"baseline"`` data plane.
+    are exercised) without affecting keyword aggregates.  Every column is
+    drawn in one numpy batch and handed to the store as a single bulk
+    chunk.
 
     On a spooled store the same columns stream to disk in bounded chunks.
     The generator stream is consumed in the identical element order —
@@ -196,41 +189,27 @@ def _add_background_posts(
     if config.background_posts_mean == 0:
         return
     horizon = config.horizon
-    if vectorized:
-        nrng = np.random.default_rng(rng.getrandbits(128))
-        user_ids = np.asarray(store.user_ids(), dtype=np.int64)
-        # Geometric-ish count via exponential rounding keeps a long tail of
-        # prolific users, mirroring the <5% of users beyond Twitter's cap.
-        counts = nrng.exponential(config.background_posts_mean, size=user_ids.size).astype(np.int64)
-        total = int(counts.sum())
-        if total == 0:
-            return
-        spool = store.spool
-        if spool is not None:
-            _stream_background_posts(
-                store, spool, nrng, user_ids, counts, total, horizon, progress
-            )
-            return
-        users = np.repeat(user_ids, counts)
-        times = nrng.random(total) * horizon
-        lengths = nrng.integers(10, 141, size=total)
-        likes = np.minimum((nrng.pareto(1.8, size=total) + 1.0).astype(np.int64), 10_000) - 1
-        store.add_posts_columnar(users, times, lengths, likes)
-        if progress is not None:
-            progress.add_rows("background", total)
+    nrng = np.random.default_rng(rng.getrandbits(128))
+    user_ids = np.asarray(store.user_ids(), dtype=np.int64)
+    # Geometric-ish count via exponential rounding keeps a long tail of
+    # prolific users, mirroring the <5% of users beyond Twitter's cap.
+    counts = nrng.exponential(config.background_posts_mean, size=user_ids.size).astype(np.int64)
+    total = int(counts.sum())
+    if total == 0:
         return
-    for user_id in store.user_ids():
-        count = int(rng.expovariate(1.0 / config.background_posts_mean))
-        for _ in range(count):
-            store.add_post(
-                Post(
-                    post_id=store.new_post_id(),
-                    user_id=user_id,
-                    timestamp=rng.random() * horizon,
-                    length=rng.randint(10, 140),
-                    likes=min(int(rng.paretovariate(1.8)), 10_000) - 1,
-                )
-            )
+    spool = store.spool
+    if spool is not None:
+        _stream_background_posts(
+            store, spool, nrng, user_ids, counts, total, horizon, progress
+        )
+        return
+    users = np.repeat(user_ids, counts)
+    times = nrng.random(total) * horizon
+    lengths = nrng.integers(10, 141, size=total)
+    likes = np.minimum((nrng.pareto(1.8, size=total) + 1.0).astype(np.int64), 10_000) - 1
+    store.add_posts_columnar(users, times, lengths, likes)
+    if progress is not None:
+        progress.add_rows("background", total)
 
 
 def _stream_background_posts(
@@ -304,9 +283,8 @@ def build_platform(
     elif progress is None or progress is False:
         progress = None
     root_rng = ensure_rng(config.seed)
-    columnar = config.data_plane != "baseline"
 
-    graph = _build_graph(config, spawn(root_rng, "graph"), vectorized=columnar)
+    graph = _build_graph(config, spawn(root_rng, "graph"))
     spool = None
     if config.data_plane == "mmap":
         spool = ColumnSpool(
@@ -322,20 +300,13 @@ def build_platform(
 
             atexit.register(shutil.rmtree, spool.directory, True)
     store = MicroblogStore(graph, spool=spool)
-    profile_rng = spawn(root_rng, "profiles")
-    if columnar:
-        for user_profile in generate_profiles(config.num_users, seed=profile_rng):
-            store.add_user(user_profile)
-    else:
-        for user_id in range(config.num_users):
-            store.add_user(generate_profile(user_id, seed=profile_rng))
+    for user_profile in generate_profiles(config.num_users, seed=spawn(root_rng, "profiles")):
+        store.add_user(user_profile)
     store.refresh_follower_counts()
     if progress is not None:
         progress.note("users")
 
-    _add_background_posts(
-        store, config, spawn(root_rng, "background"), vectorized=columnar, progress=progress
-    )
+    _add_background_posts(store, config, spawn(root_rng, "background"), progress=progress)
 
     cascades: Dict[str, CascadeResult] = {}
     for spec in config.keywords:
@@ -346,7 +317,6 @@ def build_platform(
             params=config.cascade_params,
             seed=spawn(root_rng, f"cascade:{spec.keyword}"),
             intensity_scale=config.num_users / config.intensity_reference_population,
-            emission="columnar" if columnar else "scalar",
         )
         cascades[spec.keyword] = result
         if progress is not None:

@@ -182,8 +182,8 @@ def generate_profiles(num_users: int, seed: RandomLike = None) -> List[UserProfi
     gender weights, truncated-gaussian age) but every random column comes
     from one numpy batch, so building 10^5 profiles costs a handful of
     vector draws instead of five python-rng calls per user.  The draw
-    sequence differs from the scalar path; the columnar data planes use
-    this, the ``"baseline"`` plane keeps the historical per-user draws.
+    sequence differs from the per-user path; every data plane builds its
+    profiles here.
     """
     rng = ensure_rng(seed)
     nrng = np.random.default_rng(rng.getrandbits(128))

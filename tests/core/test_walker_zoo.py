@@ -74,10 +74,12 @@ def test_summary_matches_docstring_and_catalog(name):
 
 
 def test_unknown_walker_and_design_are_rejected(tiny_platform):
-    with pytest.raises(EstimationError):
-        get_walker("no-such-walker")
-    with pytest.raises(EstimationError):
-        MicroblogAnalyzer(tiny_platform, algorithm="no-such-walker")
+    # ``crawl`` must stay unregistered: the BFS crawl is a bench-local helper.
+    for name in ("no-such-walker", "crawl"):
+        with pytest.raises(EstimationError):
+            get_walker(name)
+        with pytest.raises(EstimationError):
+            MicroblogAnalyzer(tiny_platform, algorithm=name)
     with pytest.raises(EstimationError):
         MicroblogAnalyzer(tiny_platform, algorithm="ma-tarw", graph_design="social")
 

@@ -17,6 +17,10 @@ def test_config_validation():
         PlatformConfig(horizon_days=0)
     with pytest.raises(PlatformError):
         PlatformConfig(background_posts_mean=-1)
+    with pytest.raises(PlatformError):
+        PlatformConfig(data_plane="baseline")
+    with pytest.raises(PlatformError):
+        PlatformConfig(build_chunk_rows=0)
 
 
 def test_build_is_deterministic():
