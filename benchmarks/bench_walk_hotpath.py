@@ -33,14 +33,15 @@ the run fails if ``fastpath.resolved`` never fired or any
 ``fastpath.fallback{reason}`` did, i.e. if the clean bench stack
 silently stopped resolving to the fast path.
 
-``--kernel`` benches the compiled walk kernel (PR 10) against this
-file's fast path, which stays enabled on both sides — the kernel's
-speedup is measured *on top of* it, never against a strawman:
+``--kernel`` benches the compiled walk kernel against the layered path.
+A context whose kernel does not resolve drops its fast path too, so
+kernel-off runs are fully layered and kernel-on runs use fast path +
+kernel — the only two configurations a clean stack has:
 
 * per algorithm, interleaved best-of-N kernel-off vs kernel-on serial
-  ``estimate()`` at ``KERNEL_BUDGET`` (the harness default, where the
-  Eq. 6 DP recursion dominates), each pair asserted bit-identical;
-  **gate**: ``ma-tarw`` speedup ≥ ``KERNEL_SPEEDUP_FLOOR``;
+  ``estimate()`` at ``KERNEL_BUDGET`` (the harness default), each pair
+  asserted bit-identical; **gate**: ``ma-tarw`` speedup ≥
+  ``KERNEL_SPEEDUP_FLOOR``;
 * one 10M-row mmap cell (reusing ``bench_scale.py --cell`` in fresh
   subprocesses, kernel off via ``REPRO_NO_KERNEL``) asserted
   bit-identical across the switch; **gate**: kernel-on walk throughput
@@ -79,8 +80,7 @@ QUICK_NUM_USERS = 4_000
 QUICK_BUDGET = 2_000
 
 KERNEL_BUDGET = 30_000
-"""The kernel gate runs at the harness default budget: deep enough that
-the Eq. 6 DP work the kernel optimises dominates both sides."""
+"""The kernel gate runs at ``run_estimator``'s default budget."""
 KERNEL_TIMING_REPEATS = 3
 KERNEL_SPEEDUP_FLOOR = 2.0
 MMAP_GATE_RATIO = 3.0
@@ -260,10 +260,10 @@ def run_quick():
 
 
 # ----------------------------------------------------------------------
-# --kernel: compiled walk kernel vs the (always-on) fast path
+# --kernel: compiled walk kernel vs the layered path
 # ----------------------------------------------------------------------
 def _kernel_run(platform, query, algorithm, enabled, budget, obs=None):
-    """One estimate run with the kernel forced on/off (fast path as-is)."""
+    """One estimate run with the kernel forced on/off (off = fully layered)."""
     previous = set_kernel_enabled(enabled)
     try:
         return run_estimator(
@@ -438,10 +438,10 @@ def run_kernel_full():
     }
 
     table = format_table(
-        "Compiled walk kernel vs interpreted fast path "
+        "Compiled walk kernel vs layered path "
         f"({NUM_USERS:,} users, budget {KERNEL_BUDGET:,}, seed {SEED}; "
         "interleaved best-of-"
-        f"{KERNEL_TIMING_REPEATS} cold-store wall; fast path ON both sides)",
+        f"{KERNEL_TIMING_REPEATS} cold-store wall; kernel off = fully layered)",
         ["algorithm", "off s", "on s", "speedup", "gated", "estimate", "cost"],
         rows,
     )
@@ -493,7 +493,7 @@ def main(argv=None):
     parser.add_argument(
         "--kernel",
         action="store_true",
-        help="bench the compiled walk kernel against the fast path "
+        help="bench the compiled walk kernel against the layered path "
         "(with --quick: CI identity + guard smoke)",
     )
     args = parser.parse_args(argv)

@@ -49,18 +49,16 @@ class QueryContext:
     """Memoised API knowledge scoped to one aggregate query.
 
     At construction the client stack is resolved once against the fast-
-    path rules (see :mod:`repro.api.fastpath`): a clean caching stack
-    over a frozen store gets flattened per-API-kind operations — batched
-    first-mention resolution from the store's columns and single-lock
-    connection serving — with charges, counters and trace bytes identical
-    to the layered path.  Any fault/resilient layer, legacy store or
-    non-caching client keeps every operation on the layered slow path.
+    path rules (see :mod:`repro.api.fastpath`) and then the walk kernel's
+    (see :mod:`repro.core.kernels`).  A context runs in one of two
+    configurations: a clean caching stack over a frozen store gets both
+    — batched first-mention resolution from the store's columns,
+    columnar condition views and single-lock connection serving — with
+    charges, counters and trace bytes identical to the layered path.
+    Anything else (a fault/resilient layer, legacy store, non-caching
+    client, or either process-wide switch off) keeps every operation on
+    the layered path.
     """
-
-    kernel_eligible = True
-    """Subclasses that reinterpret the first-mention family (probes,
-    truncation) set this False so :func:`resolve_kernel` falls back to
-    the interpreted path instead of bypassing their overrides."""
 
     def __init__(
         self,
@@ -83,16 +81,19 @@ class QueryContext:
         self._views: Dict[int, UserView] = self.state.views  # type: ignore[assignment]
         self.fast = resolve_fast_path(client, query.keyword, obs=self.obs)
         """Flattened ops for this ``(client, keyword)`` pair, or None when
-        any resolution rule forces the layered slow path."""
+        the context is on the layered path."""
         self.kernel = resolve_kernel(self, obs=self.obs)
-        """Compiled walk kernel over the fast path (see
-        :mod:`repro.core.kernels`), or None for the interpreted loop."""
+        """Compiled walk kernel over the fast path, or None when the
+        context is on the layered path."""
+        if self.kernel is None:
+            self.fast = None
         self._cond_memo: Dict[int, bool] = {}
         self._f_memo: Dict[int, float] = {}
-        """Kernel-enabled memos for the condition/f-value hot calls.
-        Valid because query predicates and measures are pure functions of
-        the (already memoised) view; private to this context, so service
-        cross-query reuse never observes them."""
+        """Memos for the condition/f-value hot calls.  Valid because query
+        predicates and measures are pure functions of the (already
+        memoised) view — true of every measure in :mod:`repro.core.query`
+        and a requirement for custom ones; private to this context, so
+        service cross-query reuse never observes them."""
 
     # ------------------------------------------------------------------
     # raw API passthroughs (the client caches repeats)
@@ -119,11 +120,8 @@ class QueryContext:
         memo = self._first_mentions
         if user_id not in memo:
             kernel = self.kernel
-            fast = self.fast
             if kernel is not None:
                 kernel.resolve_mentions((user_id,), memo)
-            elif fast is not None:
-                fast.first_mention_into(user_id, memo)
             else:
                 view = self.timeline(user_id)
                 memo[user_id] = view.first_mention_time(self.query.keyword)
@@ -132,24 +130,19 @@ class QueryContext:
     def first_mentions(self, user_ids: Sequence[int]) -> List[Optional[float]]:
         """Batched :meth:`first_mention` preserving input order.
 
-        The batch classifier's entry point: with the fast path resolved,
-        all uncached users are answered from the frozen first-mention
-        columns in one vectorised lookup (charges replayed per user in
-        input order — identical accounting to sequential calls); the
-        slow path degrades to exactly those sequential calls.  Results
-        land in the same per-context memo either way, which is what makes
-        a timeline classified at most once per ``(client, keyword)``
-        across pilot candidates and the final oracle.
+        The batch classifier's entry point: with the kernel resolved, all
+        uncached users are answered from the frozen first-mention columns
+        in one vectorised lookup (charges replayed per user in input
+        order — identical accounting to sequential calls); the layered
+        path makes exactly those sequential calls.  Results land in the
+        same per-context memo either way, which is what makes a timeline
+        classified at most once per ``(client, keyword)`` across pilot
+        candidates and the final oracle.
         """
         kernel = self.kernel
         if kernel is not None:
             memo = self._first_mentions
             kernel.resolve_mentions(user_ids, memo)
-            return [memo[u] for u in user_ids]
-        fast = self.fast
-        if fast is not None:
-            memo = self._first_mentions
-            fast.first_mentions_into(user_ids, memo)
             return [memo[u] for u in user_ids]
         return [self.first_mention(u) for u in user_ids]
 
@@ -188,30 +181,25 @@ class QueryContext:
 
     def condition_matches(self, user_id: int) -> bool:
         """Full §2 CONDITION: keyword + window + profile predicate."""
-        if self.kernel is not None:
-            memo = self._cond_memo
-            value = memo.get(user_id)
-            if value is None:
-                value = memo[user_id] = self.query.matches(self.user_view(user_id))
-            return value
-        return self.query.matches(self.user_view(user_id))
+        memo = self._cond_memo
+        value = memo.get(user_id)
+        if value is None:
+            value = memo[user_id] = self.query.matches(self.user_view(user_id))
+        return value
 
     def f_value(self, user_id: int) -> float:
         """f(u) when the user matches the condition, else 0.
 
         The zero default is what makes level-graph samples usable for
         narrower conditions: non-matching users contribute nothing."""
-        if self.kernel is not None:
-            memo = self._f_memo
-            value = memo.get(user_id)
-            if value is None:
-                view = self.user_view(user_id)
-                value = memo[user_id] = (
-                    self.query.value(view) if self.query.matches(view) else 0.0
-                )
-            return value
-        view = self.user_view(user_id)
-        return self.query.value(view) if self.query.matches(view) else 0.0
+        memo = self._f_memo
+        value = memo.get(user_id)
+        if value is None:
+            view = self.user_view(user_id)
+            value = memo[user_id] = (
+                self.query.value(view) if self.query.matches(view) else 0.0
+            )
+        return value
 
     # ------------------------------------------------------------------
     # seeds
@@ -370,9 +358,9 @@ class LevelByLevelOracle:
 
         One body for every client stack: ``first_mentions`` resolves the
         whole neighborhood in one call (the kernel's column batch when it
-        resolved, the fast path's or per-user fetches otherwise, with
-        identical charges), and every bucketed neighbor's level lands in
-        the level memo.
+        resolved, per-user layered fetches otherwise, with identical
+        charges), and every bucketed neighbor's level lands in the level
+        memo.
         """
         own_level = self.level_of(user_id)
         all_neighbors: List[int] = []

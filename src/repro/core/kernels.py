@@ -1,6 +1,6 @@
 """Compiled walk kernels: batched column reads under the walk loop.
 
-PR 5's fast path (:mod:`repro.api.fastpath`) flattened the *client stack*;
+The fast path (:mod:`repro.api.fastpath`) flattens the *client stack*;
 this module flattens the per-user reads *on top of it*.
 :func:`resolve_kernel` inspects a
 :class:`~repro.core.graph_builder.QueryContext` once per query and, when
@@ -9,14 +9,15 @@ int64/float64 arrays, returns a :class:`KernelOps` providing
 
 * **batched first mentions** — ``resolve_mentions`` answers a whole
   neighborhood from the frozen columns (batched ``timeline_lengths`` +
-  first-mention ``searchsorted``); ``QueryContext.first_mentions`` routes
-  through it, so the one classifier (``LevelByLevelOracle._classify``)
-  gets the batch whenever a kernel resolved;
+  first-mention ``searchsorted``); ``QueryContext.first_mention`` and
+  ``first_mentions`` route through it, so the one classifier
+  (``LevelByLevelOracle._classify``) gets the batch whenever a kernel
+  resolved.  It is the only reader of first mentions from the columns;
 * **capped-window resolution** — users whose timeline exceeds the
-  platform cap historically fell back to materialising the entire capped
-  timeline (thousands of :class:`~repro.platform.posts.Post` objects) to
-  read one timestamp.  The kernel reads the same answer from the capped
-  row window of the columns (`timeline_rows[-cap:]` + keyword-code mask),
+  platform cap would otherwise materialise the entire capped timeline
+  (thousands of :class:`~repro.platform.posts.Post` objects) to read one
+  timestamp.  The kernel reads the same answer from the capped row
+  window of the columns (`timeline_rows[-cap:]` + keyword-code mask),
   with byte-identical charges, cache counters and trace events;
 * **columnar condition views** — ``build_view`` assembles the
   :class:`~repro.core.query.UserView` for a prepaid user straight from
@@ -43,28 +44,23 @@ reason                    rule
 ========================  =====================================================
 ``disabled``              :func:`set_kernel_enabled` switch off, or the
                           ``REPRO_NO_KERNEL=1`` environment override
-``ineligible-context``    the context opts out (``kernel_eligible = False``:
-                          Walk-Not-Wait's probing context reinterprets the
-                          first-mention family)
 ``no-fastpath``           the context's fast path did not resolve (fault or
                           resilient layers, legacy store, non-caching client)
 ``non-contiguous``        any serving column is not a clean 1-D C-contiguous
                           int64/float64 array
 ========================  =====================================================
 
-On success ``kernel.resolved`` fires.
+On success ``kernel.resolved`` fires.  A context whose kernel does not
+resolve drops its fast path too, so there are two configurations: fast
+path + kernel, or fully layered.
 
 Bit-identity argument, in brief: every charge, cache counter, trace event
 and RNG draw happens in the same order with the same values as on the
-interpreted path — the kernel batches *reads* (pure column lookups) and
-replays *effects* per user in input order, exactly like the PR 5 fast
-path.  Floating point stays bit-identical because the kernel only
-vectorises elementwise operations (floor, division, comparison,
-``searchsorted``) and keeps every accumulation a sequential scalar loop
-in the interpreted operation order.  The memoisation the kernel enables
-(`condition_matches`/`f_value` caches) assumes query predicates and
-measures are pure functions of the view — true of every measure in
-:mod:`repro.core.query`, and a documented requirement for custom ones.
+layered path — the kernel batches *reads* (pure column lookups) and
+replays *effects* per user in input order.  Floating point stays
+bit-identical because the kernel only vectorises elementwise operations
+(floor, division, comparison, ``searchsorted``) and keeps every
+accumulation a sequential scalar loop in the interpreted operation order.
 """
 
 from __future__ import annotations
@@ -224,8 +220,8 @@ class KernelOps:
 
     One instance is scoped to one :class:`QueryContext` (client × query),
     like :class:`~repro.api.fastpath.FastPathOps` which it builds on.
-    Thread-safety matches the slow path: all cache mutation happens under
-    the caching client's lock (the batch loops hold it across a
+    Thread-safety matches the layered path: all cache mutation happens
+    under the caching client's lock (the batch loops hold it across a
     neighborhood, which only coarsens granularity — the per-user effect
     order is unchanged).
     """
@@ -278,16 +274,15 @@ class KernelOps:
             metrics.counter("cache." + outcome).inc()
 
     def _capped_first_mention(self, user_id: int, mentioned: bool) -> Optional[float]:
-        """Observable twin of ``FastPathOps._slow_first_mention`` for a
-        capped timeline: same detour counter, same cache hit/miss
-        counters, same charge (``cap`` surviving rows ⇒ the same call
-        count), but the answer is read from the capped row window of the
-        columns instead of materialising the timeline.  A prepaid user
-        stays prepaid (the slow path would materialise the view; every
-        later operation behaves identically either way).  The caller
-        holds the caching client's lock.
+        """Observable twin of the layered timeline fetch for a capped
+        timeline: same cache hit/miss counters, same charge (``cap``
+        surviving rows ⇒ the same call count), but the answer is read
+        from the capped row window of the columns instead of
+        materialising the timeline.  A prepaid user stays prepaid (the
+        layered path would materialise the view; every later operation
+        behaves identically either way).  The caller holds the caching
+        client's lock.
         """
-        self.fast.note_slow_detour()
         cache = self.cache
         view = cache._timelines.get(user_id)
         if view is not None:
@@ -312,13 +307,13 @@ class KernelOps:
                          memo: Dict[int, Optional[float]]) -> None:
         """Batched first-mention resolution into *memo*.
 
-        The batch twin of ``FastPathOps.first_mentions_into``: reads
-        (lengths, membership, times) resolve vectorised; effects (cache
-        counters, charges, memo writes) replay per user in input order
-        under one lock hold, so a mid-batch ``BudgetExhaustedError``
-        leaves exactly the slow-path prefix state.  Capped users resolve
-        through :meth:`_capped_first_mention` instead of the slow
-        materialising detour.
+        Reads (lengths, membership, times) resolve vectorised; effects
+        (cache counters, charges, memo writes) replay per user in input
+        order under one lock hold — the same charges, in the same order,
+        as sequential layered fetches would issue — so a mid-batch
+        ``BudgetExhaustedError`` leaves exactly the layered prefix state.
+        Capped users resolve through :meth:`_capped_first_mention`
+        instead of materialising their timeline.
         """
         missing = [u for u in user_ids if u not in memo]
         if not missing:
@@ -333,7 +328,10 @@ class KernelOps:
             try:
                 length = store.timeline_length(user_id)
             except PlatformError:
-                fast.first_mention_into(user_id, memo)
+                # Unknown user: the layered fetch raises the exact
+                # APIError the caller would see without the kernel.
+                view = self.cache.user_timeline(user_id)
+                memo[user_id] = view.first_mention_time(self.keyword)
                 return
             kw_users = fast.kw_users
             pos = int(np.searchsorted(kw_users, user_id))
@@ -364,10 +362,11 @@ class KernelOps:
         try:
             lengths = store.timeline_lengths(arr)
         except PlatformError:
-            # Unknown user in the batch: degrade to scalar resolution so
-            # the caller sees the exact slow-path APIError.
+            # Unknown user in the batch: resolve one user at a time, so
+            # the users before it are charged and it raises the layered
+            # APIError, as sequential fetches would.
             for user_id in missing:
-                fast.first_mention_into(user_id, memo)
+                self.resolve_mentions((user_id,), memo)
             return
         kw_users = fast.kw_users
         if kw_users.size:
@@ -414,20 +413,19 @@ class KernelOps:
     # ------------------------------------------------------------------
     # budget-rejected classifications (MA-TARW's dead-end memo)
     # ------------------------------------------------------------------
-    def failure_counters(self) -> Tuple[int, int, int]:
+    def failure_counters(self) -> Tuple[int, int]:
         """The counters a budget-rejected classification can move on this
-        stack: cache hits, cache misses, capped-timeline detours.  Charges
-        and trace events happen only on success, so once the neighbourhood
-        prefix before the rejected user is memoised, these three are its
-        whole observable footprint at an unchanged query total."""
+        stack: cache hits and cache misses.  Charges and trace events
+        happen only on success, so once the neighbourhood prefix before
+        the rejected user is memoised, these two are its whole observable
+        footprint at an unchanged query total."""
         cache = self.cache
-        return cache.hits, cache.misses, self.fast.slow_timeline_detours
+        return cache.hits, cache.misses
 
-    def replay_failure(self, deltas: Tuple[int, int, int]) -> None:
+    def replay_failure(self, deltas: Tuple[int, int]) -> None:
         """Add one failed classification's :meth:`failure_counters` deltas
-        (and their ``cache.*`` / ``fastpath.slow_detour`` metrics) without
-        re-running it."""
-        hits, misses, detours = deltas
+        (and their ``cache.*`` metrics) without re-running it."""
+        hits, misses = deltas
         cache = self.cache
         with cache._lock:
             cache.hits += hits
@@ -438,21 +436,19 @@ class KernelOps:
                 metrics.counter("cache.hits").inc(hits)
             if misses:
                 metrics.counter("cache.misses").inc(misses)
-        if detours:
-            self.fast.note_slow_detour(detours)
 
     # ------------------------------------------------------------------
     # columnar condition views
     # ------------------------------------------------------------------
     def build_view(self, user_id: int):
         """Assemble a :class:`UserView` without materialising the full
-        timeline, or return None to send the caller down the slow path.
+        timeline, or return None to send the caller down the layered path.
 
         A cached timeline serves exactly as before; a *prepaid* user —
         the common case after kernel classification — gets its matching
         posts gathered from the columns (only matching rows materialise)
         and stays prepaid.  Anyone else (never classified, e.g. after a
-        budget abort) returns None: the slow path charges and counts for
+        budget abort) returns None: the layered path charges and counts for
         them exactly as without the kernel.
         """
         from repro.core.query import UserView
@@ -524,13 +520,6 @@ def resolve_kernel(context, obs: Optional[Observability] = None) -> Optional[Ker
 
     if not kernel_enabled():
         fallback("disabled")
-        return None
-    if not getattr(context, "kernel_eligible", True):
-        # Context subclasses that reinterpret the first-mention family
-        # (e.g. Walk-Not-Wait's bounded probes) opt out: the kernel's
-        # column reads would answer membership with full-fetch semantics
-        # and silently bypass their overrides.
-        fallback("ineligible-context")
         return None
     fast = getattr(context, "fast", None)
     if fast is None:

@@ -26,7 +26,7 @@ config and the registry identity.
 When the query context resolved a compiled kernel
 (:func:`repro.core.kernels.resolve_kernel`), the shared chain loop steps
 the oracle *directly* instead of through the ``step_retries`` wrapper: a
-kernel only resolves on the clean fast-path stack, where
+kernel only resolves on the clean stack (fast path + kernel), where
 ``TransientAPIError`` cannot occur, so the retry wrapper is a guaranteed
 no-op and skipping it is bit-identical (budget exhaustion propagates the
 same either way).  The Geweke diagnostic, thinning and Katzir/ratio

@@ -65,6 +65,11 @@ from repro.obs.diagnostics import visit_probability_agreement
 
 COMBINE_MODES = ("phase_sum", "paper")
 
+ZERO_RETRY_BATCHES = 2
+"""ESTIMATE-p: extra batches of ``p_walks`` to try when a node's pooled
+estimate is still zero before dropping its contribution for this
+instance."""
+
 
 @dataclass(frozen=True)
 class TARWConfig:
@@ -126,16 +131,6 @@ class TARWConfig:
     inconsistencies at once: the start distribution matches the final
     (largest) seed set, and the visit counters reflect only that
     distribution.  0 disables."""
-    accumulate_p_estimates: bool = True
-    """Pool every ESTIMATE-p sample a node ever receives into a running
-    mean.  ESTIMATE-p is unbiased but heavy-tailed — most single walks
-    return 0 (the random downward path missed every seed) while rare walks
-    return large values.  Pooling across instances is still unbiased for
-    p(u) and converges, where per-visit estimates would either drop the
-    node (downward bias) or explode the variance."""
-    zero_retry_batches: int = 2
-    """Extra batches of p_walks to try when a node's pooled estimate is
-    still zero before dropping its contribution for this instance."""
     weight_cap: Optional[float] = 30.0
     """Winsorisation cap on one node's normalised contribution
     visits/(R * pooled_p).  That quantity concentrates near 1 as the run
@@ -176,8 +171,6 @@ class TARWConfig:
             raise EstimationError("final_recount_instances must be >= 0")
         if not 0.0 < self.discovery_budget_fraction <= 1.0:
             raise EstimationError("discovery_budget_fraction must be in (0, 1]")
-        if self.zero_retry_batches < 0:
-            raise EstimationError("zero_retry_batches must be >= 0")
         if self.weight_cap is not None and self.weight_cap <= 0:
             raise EstimationError("weight_cap must be positive or None")
         if self.stall_instances < 1:
@@ -387,7 +380,7 @@ class MATARWEstimator(BaseWalker):
         self._visits_down: Dict[int, int] = {}
         self._paper_paths: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
         self._instance_counter = 0
-        self._dead_ends: Dict[int, Tuple[int, Tuple[int, int, int], bool]] = {}
+        self._dead_ends: Dict[int, Tuple[int, Tuple[int, int], bool]] = {}
         """Dead-end memo of the kernel stack: node -> (query total, counter
         deltas, confirmed) of its last budget-rejected classification (see
         :meth:`_dead_end_fetch`)."""
@@ -666,8 +659,9 @@ class MATARWEstimator(BaseWalker):
           ``tarw.instances`` / ``tarw.walk_length`` metrics, ESTIMATE-p's
           pool refresh per counted visit (``p_method="estimate"``), path
           capture for ``combine="paper"``, the mmap plane's page prefetch
-          ahead of a path's condition checks, and the kernel context's
-          condition memo read in place.
+          ahead of a path's condition checks, and the context's
+          condition memo read in place (unless the context overrides
+          the condition).
 
         ``self._seeds`` is read per call (the recount rebinds it) while
         the visit counters and paper paths are prebound (the recount
@@ -717,11 +711,11 @@ class MATARWEstimator(BaseWalker):
         context = self.context
         condition_matches = context.condition_matches if counting else None
         memoised = (
-            kernel is not None
-            and type(context).condition_matches is QueryContext.condition_matches
+            getattr(type(context), "condition_matches", None)
+            is QueryContext.condition_matches
         )
-        # Without the kernel's memo every lookup misses and the context
-        # answers the condition itself.
+        # A context that overrides the condition (or has none) answers it
+        # itself: every lookup in the empty dict misses.
         cached_condition = context._cond_memo.get if memoised else {}.get
         visits_up = self._visits_up
         visits_down = self._visits_down
@@ -857,7 +851,7 @@ class MATARWEstimator(BaseWalker):
 
         Returns None instead of raising when the budget rejects the
         classification.  On this stack a rejected classification changes
-        nothing but three counters (:meth:`KernelOps.failure_counters`)
+        nothing but two counters (:meth:`KernelOps.failure_counters`)
         once its neighbourhood prefix is memoised, so two consecutive
         failures of one node at the same query total with identical
         counter deltas are a fixed point: until the query total moves,
@@ -895,20 +889,25 @@ class MATARWEstimator(BaseWalker):
     def _refresh_p(self, node: int, direction: str) -> float:
         """Add a batch of ESTIMATE-p samples for *node* to its pool.
 
-        Returns the pooled mean.  With ``accumulate_p_estimates`` off, the
-        pool is replaced per visit (the paper's literal per-instance use).
+        Returns the pooled mean.  Every sample a node ever receives is
+        pooled into a running mean: ESTIMATE-p is unbiased but
+        heavy-tailed — most single walks return 0 (the random downward
+        path missed every seed) while rare walks return large values.
+        Pooling across instances is still unbiased for p(u) and converges,
+        where per-visit estimates would either drop the node (downward
+        bias) or explode the variance.
         """
         config = self.config
         if direction == "up":
             pool, p_estimator = self._p_up_pool, self._estimate_p_up
         else:
             pool, p_estimator = self._p_down_pool, self._estimate_p_down
-        total, count = pool.get(node, (0.0, 0)) if config.accumulate_p_estimates else (0.0, 0)
+        total, count = pool.get(node, (0.0, 0))
         if config.pool_decay < 1.0 and count:
             total *= config.pool_decay
             count *= config.pool_decay
         target = max(count + config.p_walks, config.pool_min_samples)
-        batches_left = 1 + config.zero_retry_batches
+        batches_left = 1 + ZERO_RETRY_BATCHES
         while count < target or (total <= 0.0 and batches_left > 0):
             if count >= target:
                 batches_left -= 1
@@ -985,12 +984,16 @@ class MATARWEstimator(BaseWalker):
             # the dirty flag for every visited node, and nothing inside
             # the loop can re-dirty the tables (f_value never classifies).
             self._run_dp_if_dirty()
-        f_of = self.context.f_value
-        # Kernel runs memoise f(u); reading the memo directly skips one
+        context = self.context
+        f_of = context.f_value
+        # QueryContext memoises f(u); reading the memo directly skips one
         # method call per visited node (misses fall back to f_of, which
-        # populates the same memo — identical values either way).
+        # populates the same memo — identical values either way).  A
+        # context that overrides f(u) (or has none) answers every node.
         f_memo_get = (
-            self.context._f_memo.get if self._kernel is not None else None
+            context._f_memo.get
+            if getattr(type(context), "f_value", None) is QueryContext.f_value
+            else {}.get
         )
         for visits, pool, dp in (
             (self._visits_up, self._p_up_pool, self._dp_p_up),
@@ -1008,11 +1011,8 @@ class MATARWEstimator(BaseWalker):
                     drops += 1
                     continue
                 normalised = visit_count / (instances * probability)
-                if f_memo_get is not None:
-                    f_value = f_memo_get(node)
-                    if f_value is None:
-                        f_value = f_of(node)
-                else:
+                f_value = f_memo_get(node)
+                if f_value is None:
                     f_value = f_of(node)
                 raw_sum += normalised * f_value
                 raw_count += normalised

@@ -70,18 +70,13 @@ class WNWConfig(SRWConfig):
 class ProbingContext(QueryContext):
     """A :class:`QueryContext` whose membership answers come from probes.
 
-    Only the first-mention family is overridden; connections and seeds
-    keep the inherited (fast-path-aware) behavior.  Every probe outcome
-    is memoised, so a user is probed at most once per run; users whose
-    full timeline is already cached are answered through the ordinary
-    path at zero cost.
+    Only the first-mention family (``first_mention``, ``first_mentions``,
+    ``condition_matches``, ``f_value``) is overridden; connections, seeds
+    and views keep the inherited behavior of whichever configuration the
+    stack resolved.  Every probe outcome is memoised, so a user is probed
+    at most once per run; users whose full timeline is already cached
+    are answered through the ordinary path at zero cost.
     """
-
-    kernel_eligible = False
-    """The compiled kernel resolves membership from full-timeline
-    columns — exactly the semantics probes exist to avoid — so this
-    context always takes the interpreted path (its parent class still
-    uses the fast path for connections and seeds)."""
 
     def __init__(
         self,
@@ -113,10 +108,13 @@ class ProbingContext(QueryContext):
         sim = self._sim
         if sim is None:
             return super().first_mention(user_id)
-        timelines = getattr(self.client, "_timelines", None)
-        if timelines is not None and user_id in timelines:
-            # Full timeline already cached (pilot walks, an earlier
-            # escalation): the exact answer is free — don't pay a probe.
+        client = self.client
+        if user_id in getattr(client, "_timelines", ()) or user_id in getattr(
+            client, "_prepaid_timelines", ()
+        ):
+            # Full timeline already cached or paid for (pilot walks, an
+            # earlier escalation): the exact answer is free — don't pay a
+            # probe.
             return super().first_mention(user_id)
         posts, _truncated = sim._timeline_posts(user_id)
         profile = sim.platform.profile
@@ -191,9 +189,8 @@ class WNWEstimator(MASRWEstimator):
             )
             self.context = probing
             self.oracle = rebuild_oracle(oracle, probing)
-            # Re-sync the walker's kernel binding: the probing context is
-            # kernel-ineligible, so direct-stepping shortcuts bound from
-            # the original context must be dropped with it.
+            # Re-sync the walker's kernel binding: the kernel must
+            # describe the context the oracle now steps.
             self._kernel = probing.kernel
 
     def _walker_diagnostics(self) -> dict:

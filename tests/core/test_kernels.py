@@ -2,14 +2,15 @@
 
 Pins the :mod:`repro.core.kernels` contract:
 
-* **Golden-matrix bit-identity** — kernel-on vs kernel-off runs produce
-  byte-equal canonical traces (and equal values / CostMeter columns)
-  across workers (serial / 3) × fault profile (clean / hostile) ×
-  data plane (frozen / mmap).  Hostile stacks never resolve a kernel,
-  so those cells double as fallback-degradation checks.
-* **Resolution rules** — clean caching stacks resolve (with counters),
-  fault stacks, probing contexts and the process-wide switch fall back
-  with the documented reason labels.
+* **Golden-matrix bit-identity** — kernel-on vs kernel-off (the fully
+  layered path) runs produce byte-equal canonical traces (and equal
+  values / CostMeter columns) across walker (MA-TARW / MA-SRW /
+  Walk-Not-Wait) × workers (serial / 3) × fault profile (clean /
+  hostile) × data plane (frozen / mmap).  Hostile stacks never resolve
+  a kernel, so those cells double as fallback-degradation checks.
+* **Resolution rules** — clean caching stacks resolve (with counters);
+  fault stacks and either process-wide switch fall back to the fully
+  layered path with the documented reason labels.
 * **One walk engine** — traced and dark runs execute the same instance
   runner, and the configs that once forced the interpreted instance
   loop (intra-edge retention, the paper combine, ESTIMATE-p) stay
@@ -21,7 +22,7 @@ Pins the :mod:`repro.core.kernels` contract:
 * **Capped first-mention** — the columnar capped-window resolution
   matches the slow per-view answer over random columns (ties, empty
   timelines, absent keywords, multi-keyword extras) and end-to-end on a
-  capped platform, detours and charges included.
+  capped platform, charges and cache counters included.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import numpy as np
 import pytest
 
 from repro.api.client import CachingClient, SimulatedMicroblogClient
+from repro.api.fastpath import set_fast_path_enabled
 from repro.api.faults import FAULT_PROFILES, FaultInjectingClient, FaultPlan
 from repro.api.resilient import ResilientClient
 from repro.core.analyzer import MicroblogAnalyzer
@@ -47,7 +49,6 @@ from repro.core.kernels import (
 from repro.core.levels import LevelIndex
 from repro.core.query import count_users
 from repro.core.tarw import MATARWEstimator, TARWConfig, _DPGraphState
-from repro.core.wnw import ProbingContext
 from repro.obs import Observability
 from repro.obs.export import trace_lines
 from repro.obs.metrics import MetricsRegistry
@@ -121,7 +122,7 @@ def _traced_run(platform, algorithm, n_workers, fault_plan, enabled):
     return result, "\n".join(trace_lines(obs.trace_records())) + "\n"
 
 
-@pytest.mark.parametrize("algorithm", ["ma-tarw", "ma-srw"])
+@pytest.mark.parametrize("algorithm", ["ma-tarw", "ma-srw", "wnw"])
 @pytest.mark.parametrize("plane", ["frozen", "mmap"])
 @pytest.mark.parametrize("n_workers", [None, 3], ids=["serial", "workers3"])
 @pytest.mark.parametrize("faults", [None, "hostile"], ids=["clean", "hostile"])
@@ -157,6 +158,32 @@ def test_untraced_kernel_run_matches_interpreted(request, algorithm, plane):
     assert on.cost_total == off.cost_total
     assert on.cost_by_kind == off.cost_by_kind
     assert on.trace == off.trace
+
+
+@pytest.mark.parametrize(
+    "switch", [set_kernel_enabled, set_fast_path_enabled], ids=["kernel", "fastpath"]
+)
+def test_wnw_probes_reuse_prepaid_timelines(tiny_platform, switch):
+    """Interval pilots on the clean stack pay for timelines without
+    materialising them; Walk-Not-Wait's probes must treat those as
+    cached, like the layered path's materialised views, so neither
+    switch moves the bill."""
+
+    def run(enabled):
+        previous = switch(enabled)
+        try:
+            analyzer = MicroblogAnalyzer(
+                tiny_platform, algorithm="wnw", interval="auto", seed=GOLDEN_WALK_SEED
+            )
+            return analyzer.estimate(count_users(KEYWORD), budget=3_000)
+        finally:
+            switch(previous)
+
+    layered, clean = run(False), run(True)
+    assert clean.value is not None
+    assert clean.value == layered.value
+    assert clean.cost_by_kind == layered.cost_by_kind
+    assert clean.diagnostics == layered.diagnostics
 
 
 def test_traced_and_untraced_runs_share_one_runner(frozen_platform, monkeypatch):
@@ -255,17 +282,25 @@ class TestResolution:
         assert counters["kernel.resolved"] == 1
         assert not any(key.startswith("kernel.fallback") for key in counters)
 
-    def test_switch_disables_resolution(self, tiny_platform):
+    @pytest.mark.parametrize(
+        "switch, reason",
+        [(set_kernel_enabled, "disabled"), (set_fast_path_enabled, "no-fastpath")],
+        ids=["kernel", "fastpath"],
+    )
+    def test_switch_disables_resolution(self, tiny_platform, switch, reason):
+        """Either switch alone puts the context on the fully layered path."""
         metrics = MetricsRegistry()
-        with kernel_switch(False):
+        previous = switch(False)
+        try:
             client = CachingClient(SimulatedMicroblogClient(tiny_platform))
             context = QueryContext(
                 client, count_users(KEYWORD), obs=Observability(metrics=metrics)
             )
-        assert context.kernel is None
-        assert context.fast is not None  # the fast path itself stays on
+        finally:
+            switch(previous)
+        assert context.fast is None and context.kernel is None
         counters = metrics.snapshot()["counters"]
-        assert counters["kernel.fallback{reason=disabled}"] == 1
+        assert counters[f"kernel.fallback{{reason={reason}}}"] == 1
 
     def test_env_switch_disables(self, tiny_platform, monkeypatch):
         monkeypatch.setenv("REPRO_NO_KERNEL", "1")
@@ -287,17 +322,6 @@ class TestResolution:
         counters = metrics.snapshot()["counters"]
         assert counters["kernel.fallback{reason=no-fastpath}"] == 1
 
-    def test_probing_context_is_ineligible(self, tiny_platform):
-        metrics = MetricsRegistry()
-        client = CachingClient(SimulatedMicroblogClient(tiny_platform))
-        context = ProbingContext(
-            client, count_users(KEYWORD), obs=Observability(metrics=metrics)
-        )
-        assert context.fast is not None  # fast connections stay available
-        assert context.kernel is None
-        counters = metrics.snapshot()["counters"]
-        assert counters["kernel.fallback{reason=ineligible-context}"] == 1
-
     def test_mmap_plane_gets_prefetcher(self, mmap_platform, tiny_platform):
         _, mmap_ctx = _stack(mmap_platform)
         _, ram_ctx = _stack(tiny_platform)
@@ -306,7 +330,7 @@ class TestResolution:
 
 
 # ----------------------------------------------------------------------
-# capped timelines: columnar window resolution ≡ slow detour
+# capped timelines: columnar window resolution ≡ layered fetch
 # ----------------------------------------------------------------------
 SMALL_TARW = TARWConfig(
     discovery_instances=100, final_recount_instances=300, max_instances=400,
@@ -340,9 +364,6 @@ class TestCappedTimelines:
         assert (on_client.hits, on_client.misses) == (
             off_client.hits, off_client.misses
         )
-        # both paths report the same number of capped-resolution detours
-        assert on_ctx.fast.slow_timeline_detours > 0
-        assert on_ctx.fast.slow_timeline_detours == off_ctx.fast.slow_timeline_detours
 
     def test_columns_match_view_answers(self, tiny_platform):
         """Sweep: column resolution == the capped TimelineView answer for
@@ -381,11 +402,11 @@ def _exhausting_run(platform, enabled, traced, budget, seed=3, prewarm=()):
 
     Returns what must not depend on the kernel (value, bill, trace
     points, diagnostics, cache hits — the analyzer's ``cache_hits`` —
-    and misses, capped-timeline detours, metrics counters minus the
-    ``kernel.*`` resolution guards, trace bytes), the budget the final
-    recount spent, and the ``(query total, deltas)`` of every replayed
-    dead end.  *prewarm* timelines are fetched through the caching client
-    first, so classification batches find them as cache hits."""
+    and misses, metrics counters minus the ``kernel.*`` resolution
+    guards, trace bytes), the budget the final recount spent, and the
+    ``(query total, deltas)`` of every replayed dead end.  *prewarm*
+    timelines are fetched through the caching client first, so
+    classification batches find them as cache hits."""
     obs = (
         Observability(trace_sink=RecordingSink(), metrics=MetricsRegistry())
         if traced
@@ -426,7 +447,6 @@ def _exhausting_run(platform, enabled, traced, budget, seed=3, prewarm=()):
         diagnostics=result.diagnostics,
         cache_hits=client.hits,
         cache_misses=client.misses,
-        detours=context.fast.slow_timeline_detours,
     )
     if traced:
         observed["counters"] = {
@@ -445,7 +465,7 @@ EXHAUSTION_CASES = {
     # the calls left: dead ends replay while cheaper nodes (in the recount
     # too) still charge, so the query total moves past confirmed entries
     "budget-left-over": dict(budget=3_500, seed=1, profile=dict(connections_page_size=2)),
-    # capped users fail through the fast path's detour counter
+    # capped users fail through the kernel's capped-window resolution
     "capped-timelines": dict(budget=600, profile=dict(timeline_cap=2)),
 }
 
@@ -472,8 +492,7 @@ def test_dead_end_replays_match_interpreted(tiny_platform, case, traced):
         assert on_spend > 0
         assert min(spent for spent, _ in on_replayed) < on["cost_total"]
     else:
-        assert on["detours"] > 0
-        assert any(detours for _, (_, _, detours) in on_replayed)
+        assert any(misses for _, (_, misses) in on_replayed)
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["dark", "traced"])

@@ -16,6 +16,7 @@ from repro.core.analyzer import MicroblogAnalyzer
 from repro.core.query import Aggregate, AggregateQuery, CONSTANT_ONE
 from repro.core.srw import SRWConfig
 from repro.core.tarw import TARWConfig
+from repro.core.wnw import WNWConfig
 from repro.platform.clock import DAY
 from repro.platform.simulator import PlatformConfig, build_platform
 from tests.conftest import tiny_keywords
@@ -23,8 +24,8 @@ from tests.conftest import tiny_keywords
 GOLDEN_WALK_SEED = 5
 GOLDEN_PLATFORM = dict(num_users=400, seed=11)
 
-GOLDEN_BUDGETS = {"ma-tarw": 180, "ma-srw": 420}
-GOLDEN_SHARDED_BUDGETS = {"ma-tarw": 540, "ma-srw": 700}
+GOLDEN_BUDGETS = {"ma-tarw": 180, "ma-srw": 420, "wnw": 420}
+GOLDEN_SHARDED_BUDGETS = {"ma-tarw": 540, "ma-srw": 700, "wnw": 700}
 """Sharded runs split the budget across :data:`GOLDEN_SHARDS` shards, so
 they get proportionally more spend — enough that every shard still
 completes walks and the merged run produces an estimate."""
@@ -39,6 +40,8 @@ def golden_estimator_config(algorithm):
             discovery_instances=30,
             final_recount_instances=60,
         )
+    if algorithm == "wnw":
+        return WNWConfig(max_steps=400, stall_steps=300)
     return SRWConfig(max_steps=400, stall_steps=300)
 
 
@@ -72,7 +75,7 @@ def golden_run(
     budget=None,
 ):
     """One pinned estimation run; returns the :class:`EstimateResult`."""
-    key = "tarw_config" if algorithm == "ma-tarw" else "srw_config"
+    key = {"ma-tarw": "tarw_config", "wnw": "wnw_config"}.get(algorithm, "srw_config")
     analyzer = MicroblogAnalyzer(
         platform,
         algorithm=algorithm,
