@@ -73,6 +73,11 @@ class CostMeter:
             return None
         return max(self.budget - self.query_total, 0)
 
+    @property
+    def retries(self) -> int:
+        """The ``retries`` column: calls burned on failed attempts."""
+        return self._by_kind.get(RETRIES, 0)
+
     def by_kind(self) -> Dict[str, int]:
         return dict(self._by_kind)
 
@@ -93,15 +98,21 @@ class CostMeter:
             raise ReproError("calls must be non-negative")
         with self._lock:
             if kind != RETRIES:
-                if (
-                    self.budget is not None
-                    and self._query_total + calls > self.budget
-                ):
-                    raise BudgetExhaustedError(
-                        spent=self._query_total, budget=self.budget
-                    )
+                self.admit(calls)
                 self._query_total += calls
             self._by_kind[kind] = self._by_kind.get(kind, 0) + calls
+
+    def admit(self, calls: int) -> None:
+        """Raise :class:`BudgetExhaustedError` if *calls* more budgeted
+        calls would cross the budget; records nothing.
+
+        :meth:`charge` runs this check before recording; layers that
+        must refuse a request before doing any work for it (see
+        :meth:`~repro.api.client.SimulatedMicroblogClient.admit`) run it
+        ahead of the charge."""
+        budget = self.budget
+        if budget is not None and self._query_total + calls > budget:
+            raise BudgetExhaustedError(spent=self._query_total, budget=budget)
 
     def reset(self) -> None:
         with self._lock:

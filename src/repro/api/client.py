@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import accounting
 from repro.api.accounting import CostMeter
@@ -30,7 +30,9 @@ from repro.api.interface import (
     SearchHit,
     TimelineView,
 )
+from repro.api.faults import FaultInjectingClient
 from repro.api.ratelimit import RateLimiter
+from repro.api.resilient import ResilientClient
 from repro.errors import APIError
 from repro.obs import NULL_OBS, Observability
 from repro.platform.clock import SimulatedClock
@@ -112,6 +114,49 @@ class SimulatedMicroblogClient(MicroblogAPI):
         Results are newest-first, as real search APIs return them, and
         capped at *max_results* — callers pay only for the pages they pull.
         """
+        hits = self._search_hits(keyword, max_results)
+        self._charge(accounting.SEARCH, self._search_calls(len(hits)))
+        return hits
+
+    def user_connections(self, user_id: int) -> Sequence[int]:
+        store = self.platform.store
+        if not store.has_user(user_id):
+            raise APIError(f"unknown user {user_id}")
+        graph = store.graph
+        if hasattr(graph, "sorted_neighbors"):
+            # CSR graphs keep adjacency pre-sorted: serve the compiled
+            # tuple without re-sorting (or allocating) per request.
+            neighbors: Sequence[int] = graph.sorted_neighbors(user_id)
+        else:
+            neighbors = sorted(graph.neighbors_unsafe(user_id))
+        self._charge(accounting.CONNECTIONS, self._connections_calls(len(neighbors)))
+        return neighbors
+
+    def _timeline_posts(self, user_id: int):
+        store = self.platform.store
+        if not store.has_user(user_id):
+            raise APIError(f"unknown user {user_id}")
+        posts = store.timeline(user_id)  # oldest first
+        cap = self.platform.profile.timeline_cap
+        truncated = cap is not None and len(posts) > cap
+        if truncated:
+            posts = posts[-cap:]  # most recent `cap` posts survive
+        return posts, truncated
+
+    def user_timeline(self, user_id: int) -> TimelineView:
+        posts, truncated = self._timeline_posts(user_id)
+        self._charge(accounting.TIMELINE, self._timeline_calls(len(posts)))
+        return TimelineView(
+            profile=self._profile_view(user_id),
+            posts=tuple(posts),
+            truncated=truncated,
+        )
+
+    # ------------------------------------------------------------------
+    # pricing: one function per request kind, shared by the charge and
+    # by admission
+    # ------------------------------------------------------------------
+    def _search_hits(self, keyword: str, max_results: Optional[int]) -> List[SearchHit]:
         profile = self.platform.profile
         # Recency is measured from the platform's frozen "now" (the end of
         # the simulated horizon); the client's private clock only tracks
@@ -129,47 +174,50 @@ class SimulatedMicroblogClient(MicroblogAPI):
             hits = hits[: profile.search_results_cap]  # top-k microblogs (§2)
         if max_results is not None:
             hits = hits[:max_results]
-        calls = profile.calls_for_items(len(hits), profile.search_page_size)
-        self._charge(accounting.SEARCH, calls)
         return hits
 
-    def user_connections(self, user_id: int) -> Sequence[int]:
+    def _search_calls(self, hits: int) -> int:
+        profile = self.platform.profile
+        return profile.calls_for_items(hits, profile.search_page_size)
+
+    def _connections_calls(self, neighbors: int) -> int:
+        profile = self.platform.profile
+        return profile.calls_for_items(neighbors, profile.connections_page_size)
+
+    def _timeline_calls(self, posts: int) -> int:
+        """Calls a timeline of *posts* posts costs: only the most recent
+        ``timeline_cap`` are served."""
+        profile = self.platform.profile
+        cap = profile.timeline_cap
+        if cap is not None and posts > cap:
+            posts = cap
+        return profile.calls_for_items(posts, profile.timeline_page_size)
+
+    def admit(self, key: Tuple[str, object, object]) -> None:
+        """Refuse, before it is sent, a request the budget cannot afford.
+
+        *key* is the ``(kind, subject, extra)`` request key of the fault
+        and resilient layers: ``("timeline", user_id, None)``,
+        ``("connections", user_id, None)`` or ``("search", keyword,
+        max_results)``.  Raises the :class:`BudgetExhaustedError` the
+        charge would raise, recording nothing; prices from lengths, so
+        nothing is materialised.  An unknown user is admitted: its request
+        fails with :class:`APIError` when sent.
+        """
+        meter = self.meter
+        if meter.budget is None:
+            return
+        kind, subject, extra = key
         store = self.platform.store
-        if not store.has_user(user_id):
-            raise APIError(f"unknown user {user_id}")
-        graph = store.graph
-        if hasattr(graph, "sorted_neighbors"):
-            # CSR graphs keep adjacency pre-sorted: serve the compiled
-            # tuple without re-sorting (or allocating) per request.
-            neighbors: Sequence[int] = graph.sorted_neighbors(user_id)
+        if kind == accounting.SEARCH:
+            calls = self._search_calls(len(self._search_hits(subject, extra)))
+        elif not store.has_user(subject):
+            return
+        elif kind == accounting.TIMELINE:
+            calls = self._timeline_calls(store.timeline_length(subject))
         else:
-            neighbors = sorted(graph.neighbors_unsafe(user_id))
-        profile = self.platform.profile
-        calls = profile.calls_for_items(len(neighbors), profile.connections_page_size)
-        self._charge(accounting.CONNECTIONS, calls)
-        return neighbors
-
-    def _timeline_posts(self, user_id: int):
-        store = self.platform.store
-        if not store.has_user(user_id):
-            raise APIError(f"unknown user {user_id}")
-        posts = store.timeline(user_id)  # oldest first
-        cap = self.platform.profile.timeline_cap
-        truncated = cap is not None and len(posts) > cap
-        if truncated:
-            posts = posts[-cap:]  # most recent `cap` posts survive
-        return posts, truncated
-
-    def user_timeline(self, user_id: int) -> TimelineView:
-        posts, truncated = self._timeline_posts(user_id)
-        profile = self.platform.profile
-        calls = profile.calls_for_items(len(posts), profile.timeline_page_size)
-        self._charge(accounting.TIMELINE, calls)
-        return TimelineView(
-            profile=self._profile_view(user_id),
-            posts=tuple(posts),
-            truncated=truncated,
-        )
+            calls = self._connections_calls(store.graph.degree(subject))
+        meter.admit(calls)
 
     def timeline_view(self, user_id: int) -> TimelineView:
         """Assemble a timeline view *without* charging for it.
@@ -251,6 +299,55 @@ class CachingClient(MicroblogAPI):
         or a partial page recovered from a truncated transfer).  Caching
         one would poison every later request for the same key with stale
         or incomplete data even after the platform recovers."""
+        self._retrying = isinstance(inner, ResilientClient)
+        below = inner.inner if self._retrying else inner
+        if self._retrying and isinstance(below, FaultInjectingClient):
+            below = below.inner
+        self.replays_failures = isinstance(below, SimulatedMicroblogClient)
+        """True when the stack beneath is one whose budget refusals are
+        pure (see :meth:`failure_key`): the bare simulator, or a
+        :class:`ResilientClient` over it, with or without a
+        :class:`FaultInjectingClient` between."""
+        self._meter: Optional[CostMeter] = getattr(inner, "meter", None)
+
+    # ------------------------------------------------------------------
+    # budget-rejected requests (MA-TARW's dead-end memo)
+    # ------------------------------------------------------------------
+    def failure_key(self) -> object:
+        """The spend a budget-rejected classification is replayable at.
+
+        The query total; under a retrying layer also the ``retries``
+        column and :attr:`uncacheable`.  A failure that moved either was
+        not a pure cache walk, and a retry or a degraded serve since a
+        failure was recorded may have changed the breaker state it saw.
+        """
+        meter = self._meter
+        if self._retrying:
+            return meter.query_total, meter.retries, self.uncacheable
+        return meter.query_total
+
+    def failure_counters(self) -> Tuple[int, int]:
+        """The counters a budget-rejected classification moves at an
+        unchanged :meth:`failure_key`: cache hits and cache misses.
+        Charges, trace events and (over a fault layer, which admits
+        before it draws) fault draws happen only for requests that are
+        sent, so once the neighbourhood prefix before the rejected user
+        is memoised these two are the failure's whole footprint."""
+        return self.hits, self.misses
+
+    def replay_failure(self, deltas: Tuple[int, int]) -> None:
+        """Add one failed classification's :meth:`failure_counters` deltas
+        (and their ``cache.*`` metrics) without re-running it."""
+        hits, misses = deltas
+        with self._lock:
+            self.hits += hits
+            self.misses += misses
+        metrics = self.obs.metrics
+        if metrics is not None:
+            if hits:
+                metrics.counter("cache.hits").inc(hits)
+            if misses:
+                metrics.counter("cache.misses").inc(misses)
 
     def _cacheable(self) -> bool:
         # Read under the cache lock, immediately after the inner call

@@ -22,6 +22,16 @@ and end up bit-identical to a fault-free run:
 * ``max_consecutive_faults`` caps the number of back-to-back failures
   per request, guaranteeing a retrying caller with a larger attempt
   budget always eventually receives the clean response.
+* A request the budget refuses is refused *before* any draw.  When the
+  inner client can price requests
+  (:meth:`~repro.api.client.SimulatedMicroblogClient.admit`), an unpaid
+  request it cannot afford raises :class:`BudgetExhaustedError` before
+  an attempt is counted or a fault drawn — so no retry, backoff or trace
+  event is spent on traffic a budgeted client never sends, and
+  re-asking a refused request is free of side effects.  Retries of an
+  already-paid truncated response (no further charge) and requests for
+  unknown users (which fail with :class:`APIError` when sent) skip the
+  check.
 
 Fault kinds, in draw order:
 
@@ -148,6 +158,8 @@ class FaultInjectingClient(MicroblogAPI):
         self._attempts: Dict[RequestKey, int] = {}
         self._consecutive: Dict[RequestKey, int] = {}
         self._clean: Dict[RequestKey, object] = {}
+        self._admit = getattr(inner, "admit", None)
+        """The inner client's budget admission check, when it has one."""
         self.injected: Dict[str, int] = {TRANSIENT: 0, TIMEOUT: 0, TRUNCATE: 0, DUPLICATE: 0}
 
     def _note_injected(self, fault: str) -> None:
@@ -195,6 +207,9 @@ class FaultInjectingClient(MicroblogAPI):
         return self._clean[key]
 
     def _attempt(self, key: RequestKey, fetch):
+        admit = self._admit
+        if admit is not None and key not in self._clean:
+            admit(key)  # a refused request draws nothing
         attempt = self._attempts.get(key, 0)
         self._attempts[key] = attempt + 1
         fault = self._draw(key, attempt)

@@ -25,15 +25,18 @@ transient-fault family (:class:`TransientAPIError` and subclasses):
   :class:`~repro.api.client.CachingClient` knows not to memoise them
   (the poisoned-cache scenario).  Only when no fallback exists does the
   error propagate to walk-level recovery in the estimators.
-* **Duplicate healing.**  Every response is deduplicated (connections:
-  sorted-unique; timelines and search pages: stable-unique by post id).
-  Healing is the identity on clean responses, so a healed faulty run
-  returns bit-identical data to a fault-free one.
+* **Duplicate healing.**  Every response is checked for duplicates with
+  one set of ids (connections: neighbour ids; timelines: post ids; search
+  pages: ``(user_id, post_id)``); only a page that has one is rebuilt
+  (connections: sorted-unique; timelines and search pages: stable-unique).
+  A clean response comes back as is, so a healed faulty run returns
+  bit-identical data to a fault-free one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Dict, Optional, Sequence, Tuple
 
 import random
@@ -100,24 +103,19 @@ class RetryPolicy:
         return base * (1.0 - self.jitter + 2.0 * self.jitter * u)
 
 
-def _dedupe_hits(hits: Sequence[SearchHit]) -> Tuple[SearchHit, ...]:
-    seen = set()
-    out = []
-    for hit in hits:
-        marker = (hit.user_id, hit.post_id)
-        if marker not in seen:
-            seen.add(marker)
-            out.append(hit)
-    return tuple(out)
+_post_id = attrgetter("post_id")
+_hit_marker = attrgetter("user_id", "post_id")
 
 
-def _dedupe_posts(posts: Sequence) -> Tuple:
+def _dedupe(items: Sequence, marker) -> Tuple:
+    """Stable-unique *items* by ``marker(item)``: first occurrence wins."""
     seen = set()
     out = []
-    for post in posts:
-        if post.post_id not in seen:
-            seen.add(post.post_id)
-            out.append(post)
+    for item in items:
+        mark = marker(item)
+        if mark not in seen:
+            seen.add(mark)
+            out.append(item)
     return tuple(out)
 
 
@@ -234,12 +232,14 @@ class ResilientClient(MicroblogAPI):
                 response = fetch()
             except BudgetExhaustedError:
                 # The platform is healthy — the caller's own budget
-                # refused the call.  A fault-free run would have raised
-                # before any attempt was made, so this request's injected
-                # failures must not poison the breaker: walkers that end
-                # by exhaustion (not plateau) would otherwise see
-                # CircuitOpenError where the clean run sees budget
-                # exhaustion, breaking fault bit-identity.
+                # refused the call.  Over a FaultInjectingClient, admission
+                # refuses such a request before any fault is drawn, so this
+                # is reached on a first attempt; a refusal after injected
+                # failures needs concurrent pilot spend to win a race with
+                # admission.  Those failures must not poison the breaker:
+                # walkers that end by exhaustion (not plateau) would
+                # otherwise see CircuitOpenError where the clean run sees
+                # budget exhaustion, breaking fault bit-identity.
                 self._record_success()
                 raise
             except TransientAPIError as err:
@@ -260,17 +260,23 @@ class ResilientClient(MicroblogAPI):
     # ------------------------------------------------------------------
     @staticmethod
     def _heal(kind: str, response):
-        """Deduplicate corrupted pages; identity on clean responses."""
+        """Deduplicate corrupted pages; a clean response comes back as is.
+
+        Uniqueness is checked with one set of ids built at C speed; the
+        per-row dedupe runs only on a page that holds a duplicate."""
         if kind == "connections":
-            healed = tuple(sorted(set(response)))
-            return healed if len(healed) != len(response) else tuple(response)
+            unique = set(response)
+            if len(unique) == len(response):
+                return tuple(response)
+            return tuple(sorted(unique))
         if kind == "timeline":
-            posts = _dedupe_posts(response.posts)
-            if len(posts) != len(response.posts):
-                return replace(response, posts=posts)
-            return response
-        healed_hits = _dedupe_hits(response)
-        return healed_hits if len(healed_hits) != len(response) else tuple(response)
+            posts = response.posts
+            if len(set(map(_post_id, posts))) == len(posts):
+                return response
+            return replace(response, posts=_dedupe(posts, _post_id))
+        if len(set(map(_hit_marker, response))) == len(response):
+            return tuple(response)
+        return _dedupe(response, _hit_marker)
 
     # ------------------------------------------------------------------
     # MicroblogAPI

@@ -32,9 +32,10 @@ int64/float64 arrays, returns a :class:`KernelOps` providing
 
 A resolved kernel also tells the walkers the stack is clean, so MA-TARW's
 stepping loop may classify straight through the oracle instead of through
-the fault-retry wrapper, and may replay a budget-rejected classification
-from its counter footprint (``failure_counters`` / ``replay_failure``)
-instead of re-running it (see ``MATARWEstimator._instance_runner``).
+the fault-retry wrapper (see ``MATARWEstimator._instance_runner``).  The
+dead-end memo that replays budget-rejected classifications from their
+counter footprint is not kernel-specific: it reads the caching client's
+``failure_counters`` / ``replay_failure`` on every stack.
 
 Resolution rules / fallback matrix (mirrors ``resolve_fast_path``; the
 ``kernel.fallback{reason}`` counter names the failing rule):
@@ -67,7 +68,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -409,33 +410,6 @@ class KernelOps:
                     sim.charge_timeline(user_id, calls_for_items(length, page))
                     prepaid.add(user_id)
                 memo[user_id] = times_list[i] if mentioned_list[i] else None
-
-    # ------------------------------------------------------------------
-    # budget-rejected classifications (MA-TARW's dead-end memo)
-    # ------------------------------------------------------------------
-    def failure_counters(self) -> Tuple[int, int]:
-        """The counters a budget-rejected classification can move on this
-        stack: cache hits and cache misses.  Charges and trace events
-        happen only on success, so once the neighbourhood prefix before
-        the rejected user is memoised, these two are its whole observable
-        footprint at an unchanged query total."""
-        cache = self.cache
-        return cache.hits, cache.misses
-
-    def replay_failure(self, deltas: Tuple[int, int]) -> None:
-        """Add one failed classification's :meth:`failure_counters` deltas
-        (and their ``cache.*`` metrics) without re-running it."""
-        hits, misses = deltas
-        cache = self.cache
-        with cache._lock:
-            cache.hits += hits
-            cache.misses += misses
-        metrics = self._cache_metrics
-        if metrics is not None:
-            if hits:
-                metrics.counter("cache.hits").inc(hits)
-            if misses:
-                metrics.counter("cache.misses").inc(misses)
 
     # ------------------------------------------------------------------
     # columnar condition views

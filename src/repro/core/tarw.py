@@ -45,6 +45,7 @@ memoises p-estimates of local roots across instances; disable it with
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
@@ -380,9 +381,9 @@ class MATARWEstimator(BaseWalker):
         self._visits_down: Dict[int, int] = {}
         self._paper_paths: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
         self._instance_counter = 0
-        self._dead_ends: Dict[int, Tuple[int, Tuple[int, int], bool]] = {}
-        """Dead-end memo of the kernel stack: node -> (query total, counter
-        deltas, confirmed) of its last budget-rejected classification (see
+        self._dead_ends: Dict[int, Tuple[object, Tuple[int, int], bool]] = {}
+        """Dead-end memo: node -> (failure key, counter deltas, confirmed)
+        of its last budget-rejected classification (see
         :meth:`_dead_end_fetch`)."""
         self.zero_probability_drops = 0
         self.fault_aborted_instances = 0
@@ -644,11 +645,11 @@ class MATARWEstimator(BaseWalker):
 
         * **neighbour fetch** — a classified node is read straight off the
           oracle's up/down memo (the accessor would return the same list
-          at no API cost).  A miss classifies through the oracle accessor:
-          through the dead-end memo (:meth:`_dead_end_fetch`) when the
-          kernel resolved (a clean stack, where
-          :class:`TransientAPIError` cannot surface), through the
-          :meth:`_oracle_step` retry wrapper otherwise.
+          at no API cost).  A miss classifies through the dead-end memo
+          (:meth:`_dead_end_fetch`), on every client stack: straight
+          through the oracle accessor when the kernel resolved (a clean
+          stack, where :class:`TransientAPIError` cannot surface), through
+          the :meth:`_oracle_step` retry wrapper otherwise.
         * **index draw** — for a stock ``random.Random``, ``choice(seq)``
           is ``seq[_randbelow(len(seq))]``; ``_randbelow_with_getrandbits``
           is inlined for the steps, consuming the identical
@@ -672,20 +673,13 @@ class MATARWEstimator(BaseWalker):
         rng = self.rng
         kernel = self._kernel
         max_length = config.max_path_length
-        if kernel is not None:
-            fetch_up = self._dead_end_fetch(kernel, oracle.up_neighbors)
-            fetch_down = self._dead_end_fetch(kernel, oracle.down_neighbors)
-        else:
-            retry = self._oracle_step
-            up_neighbors = oracle.up_neighbors
-            down_neighbors = oracle.down_neighbors
-
-            def fetch_up(node: int) -> List[int]:
-                return retry(up_neighbors, node)
-
-            def fetch_down(node: int) -> List[int]:
-                return retry(down_neighbors, node)
-
+        classify_up = oracle.up_neighbors
+        classify_down = oracle.down_neighbors
+        if kernel is None:
+            classify_up = functools.partial(self._oracle_step, classify_up)
+            classify_down = functools.partial(self._oracle_step, classify_down)
+        fetch_up = self._dead_end_fetch(classify_up)
+        fetch_down = self._dead_end_fetch(classify_down)
         up_memo = getattr(oracle, "_up", {}).get
         down_memo = getattr(oracle, "_down", {}).get
         choice = rng.choice
@@ -778,10 +772,6 @@ class MATARWEstimator(BaseWalker):
                         raise EstimationError(
                             "down-phase exceeded max_path_length; level oracle is cyclic?"
                         )
-            except BudgetExhaustedError:
-                # Aborted instance: the span still closes with the failure
-                # class so traces show *where* walks die.
-                return aborted(span)
             except Exception as err:
                 if span is not None:
                     span.add(error=type(err).__name__).close()
@@ -845,32 +835,51 @@ class MATARWEstimator(BaseWalker):
         return run_instance
 
     def _dead_end_fetch(
-        self, kernel, lookup: Callable[[int], List[int]]
+        self, lookup: Callable[[int], List[int]]
     ) -> Callable[[int], Optional[List[int]]]:
-        """Wrap the kernel stack's classifying *lookup* in the dead-end memo.
+        """Wrap the classifying *lookup* in the dead-end memo.
 
         Returns None instead of raising when the budget rejects the
-        classification.  On this stack a rejected classification changes
-        nothing but two counters (:meth:`KernelOps.failure_counters`)
-        once its neighbourhood prefix is memoised, so two consecutive
-        failures of one node at the same query total with identical
-        counter deltas are a fixed point: until the query total moves,
-        every later attempt would add those deltas and fail again.  Such
-        attempts only replay the deltas (:meth:`KernelOps.replay_failure`)
-        and skip the classifier.  A first failure is never replayed: it may
-        have memoised prefix users or filled a cache entry, which changes
-        the next attempt's footprint.
+        classification.  The memo reads the caching client's footprint
+        of a budget-rejected request (see
+        :meth:`~repro.api.client.CachingClient.failure_key`): once a
+        node's neighbourhood prefix is memoised, a rejected
+        classification changes nothing but two counters (cache hits and
+        misses), so two consecutive failures of one node at the same
+        failure key with identical counter deltas are a fixed point:
+        until the key moves, every later attempt would add those deltas
+        and fail again.  Such attempts only replay the deltas
+        (:meth:`~repro.api.client.CachingClient.replay_failure`) and skip
+        the classifier.  A first failure is never replayed: it may have
+        memoised prefix users or filled a cache entry, which changes the
+        next attempt's footprint.  On a retrying stack the key includes
+        the ``retries`` column and the uncacheable count, so a failure
+        that burned a retry or was served degraded is never recorded.
+        Over a client stack with no such footprint the wrapper only maps
+        the rejection to None.
         """
+        context = getattr(self.oracle, "context", None) or self.context
+        client = getattr(context, "client", None)
+        if not getattr(client, "replays_failures", False):
+
+            def fetch_once(node: int) -> Optional[List[int]]:
+                try:
+                    return lookup(node)
+                except BudgetExhaustedError:
+                    return None
+
+            return fetch_once
+
         dead_ends = self._dead_ends
         dead_end = dead_ends.get
-        meter = kernel.sim.meter
-        counters = kernel.failure_counters
-        replay = kernel.replay_failure
+        failure_key = client.failure_key
+        counters = client.failure_counters
+        replay = client.replay_failure
 
         def fetch(node: int) -> Optional[List[int]]:
-            spent = meter.query_total
+            key = failure_key()
             entry = dead_end(node)
-            if entry is not None and entry[0] != spent:
+            if entry is not None and entry[0] != key:
                 entry = None  # recorded before the last spend: stale
             if entry is not None and entry[2]:
                 replay(entry[1])
@@ -879,9 +888,9 @@ class MATARWEstimator(BaseWalker):
             try:
                 return lookup(node)
             except BudgetExhaustedError:
-                if meter.query_total == spent:
+                if failure_key() == key:
                     deltas = tuple(a - b for a, b in zip(counters(), before))
-                    dead_ends[node] = (spent, deltas, entry is not None and entry[1] == deltas)
+                    dead_ends[node] = (key, deltas, entry is not None and entry[1] == deltas)
                 return None
 
         return fetch

@@ -328,8 +328,9 @@ class FrozenStore:
     # timelines and keyword access
     # ------------------------------------------------------------------
     def _user_row(self, user_id: int) -> int:
-        row = int(np.searchsorted(self._sorted_user_ids, user_id))
-        if row >= self._sorted_user_ids.size or self._sorted_user_ids[row] != user_id:
+        ids = self._sorted_user_ids
+        row = int(ids.searchsorted(user_id))
+        if row >= ids.size or ids[row] != user_id:
             raise PlatformError(f"unknown user {user_id}")
         return row
 
@@ -409,6 +410,9 @@ class FrozenStore:
         return self._materialize(rows)
 
     def timeline_length(self, user_id: int) -> int:
+        cached = self._tl_cache.get(user_id)
+        if cached is not None:
+            return len(cached)
         row = self._user_row(user_id)
         return int(self._tl_indptr[row + 1] - self._tl_indptr[row])
 

@@ -8,6 +8,8 @@ poisoned-cache regression (degraded responses must never be memoised).
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.api.accounting import RETRIES
@@ -17,11 +19,14 @@ from repro.api.interface import MicroblogAPI, TimelineView
 from repro.api.resilient import ResilientClient, RetryPolicy
 from repro.errors import (
     APITimeoutError,
+    BudgetExhaustedError,
     CircuitOpenError,
     ReproError,
     TransientAPIError,
     TruncatedResponseError,
 )
+from repro.obs import MetricsRegistry, Observability
+from repro.obs.trace import RecordingSink
 
 pytestmark = pytest.mark.chaos
 
@@ -144,6 +149,80 @@ def test_duplicates_leak_without_healing_and_heal_with_it(tiny_platform):
     timeline = healed.user_timeline(1)
     baseline = _stack(tiny_platform).user_timeline(1)
     assert timeline == baseline
+
+    # Clean pages pass healing untouched: the same timeline object, the
+    # same connections tuple.
+    heal = ResilientClient._heal
+    view = SimulatedMicroblogClient(tiny_platform).user_timeline(_posty_user(tiny_platform, 3))
+    assert heal("timeline", view) is view
+    assert heal("connections", clean) == clean
+    hits = tuple(SimulatedMicroblogClient(tiny_platform).search("privacy"))
+    assert heal("search", hits) == hits
+    # A duplicated page still dedupes stably: first occurrences, in order.
+    posts = view.posts
+    doubled = dataclasses.replace(view, posts=posts[1:2] + posts + posts[:1])
+    assert heal("timeline", doubled).posts == posts[1:2] + posts[:1] + posts[2:]
+    assert heal("connections", (clean[-1],) + clean) == clean
+    assert heal("search", hits[1:2] + hits) == hits[1:2] + hits[:1] + hits[2:]
+
+
+def test_budget_refused_request_stops_before_the_fault_dice(tiny_platform):
+    """A request the budget refuses is refused before any fault is drawn:
+    however often it is re-asked, no fault fires, no retry is charged, no
+    backoff advances the clock and nothing is traced."""
+    user_id = _posty_user(tiny_platform)
+    others = range(20)
+    probe = SimulatedMicroblogClient(tiny_platform)
+    for other in others:
+        probe.user_connections(other)
+    spent = probe.meter.query_total
+    probe.user_timeline(user_id)
+    price = probe.meter.query_total - spent
+    obs = Observability(trace_sink=RecordingSink(), metrics=MetricsRegistry())
+    sim = SimulatedMicroblogClient(tiny_platform, budget=spent + price - 1, obs=obs)
+    obs.bind_clock(sim.clock)
+    faults = FaultInjectingClient(sim, FAULT_PROFILES["hostile"], obs=obs)
+    resilient = ResilientClient(faults, obs=obs)
+    for other in others:  # affordable requests meet the dice
+        resilient.user_connections(other)
+    assert sim.meter.query_total == spent
+    retries = sim.meter.by_kind()[RETRIES]
+    assert sum(faults.injected.values()) > 0 and retries > 0
+
+    injected = dict(faults.injected)
+    wait = resilient.backoff_wait
+    now = resilient.clock.now()
+    traced = len(obs.trace_records())
+    for _ in range(40):
+        with pytest.raises(BudgetExhaustedError):
+            resilient.user_timeline(user_id)
+    assert faults.injected == injected
+    assert sim.meter.by_kind()[RETRIES] == retries == resilient.retries
+    assert resilient.backoff_wait == wait
+    assert resilient.clock.now() == now
+    assert len(obs.trace_records()) == traced
+
+
+def test_failure_key_moves_with_waste_on_a_retrying_stack(tiny_platform):
+    """The dead-end memo's key: the query total on a bare stack; under a
+    resilient layer also the retries column and the uncacheable count, so
+    a retry or a degraded serve makes a recorded dead end stale.  A stack
+    the caching client does not recognise gets no memo at all."""
+    bare = _stack(tiny_platform, budget=500)
+    assert bare.replays_failures
+    assert bare.failure_key() == 0
+    plan = FaultPlan(seed=1, transient_rate=0.5)
+    faulted = _stack(tiny_platform, plan, budget=500)
+    assert faulted.replays_failures
+    assert faulted.failure_key() == (0, 0, 0)
+    for user_id in range(10):
+        faulted.user_connections(user_id)
+    total, retries, uncacheable = faulted.failure_key()
+    assert total == faulted.meter.query_total > 0
+    assert retries == faulted.meter.by_kind()[RETRIES] > 0
+    assert uncacheable == faulted.uncacheable == 0
+    unretried = CachingClient(FaultInjectingClient(SimulatedMicroblogClient(tiny_platform), plan))
+    assert not unretried.replays_failures
 
 
 def test_backoff_is_deterministic_and_simulated_only(tiny_platform):

@@ -19,6 +19,11 @@ Pins the :mod:`repro.core.kernels` contract:
   classification order, reproduces the interpreted dict recursion bit
   for bit on hypothesis-generated level DAGs (never-classified and
   level-less partners, zero-mass nodes, empty seed sets included).
+* **Dead-end memo** — budget-exhausting MA-TARW runs whose aborts replay
+  from the memo equal a memo-free runner in value, the whole bill
+  (``retries`` included), diagnostics, cache counters, metrics and trace
+  bytes, on both configurations and behind the ``hostile`` and
+  ``unstable`` fault profiles and a retry policy too weak to heal.
 * **Capped first-mention** — the columnar capped-window resolution
   matches the slow per-view answer over random columns (ties, empty
   timelines, absent keywords, multi-keyword extras) and end-to-end on a
@@ -37,11 +42,10 @@ import pytest
 from repro.api.client import CachingClient, SimulatedMicroblogClient
 from repro.api.fastpath import set_fast_path_enabled
 from repro.api.faults import FAULT_PROFILES, FaultInjectingClient, FaultPlan
-from repro.api.resilient import ResilientClient
+from repro.api.resilient import ResilientClient, RetryPolicy
 from repro.core.analyzer import MicroblogAnalyzer
 from repro.core.graph_builder import LevelByLevelOracle, QueryContext
 from repro.core.kernels import (
-    KernelOps,
     first_mention_from_columns,
     kernel_enabled,
     set_kernel_enabled,
@@ -49,6 +53,7 @@ from repro.core.kernels import (
 from repro.core.levels import LevelIndex
 from repro.core.query import count_users
 from repro.core.tarw import MATARWEstimator, TARWConfig, _DPGraphState
+from repro.errors import BudgetExhaustedError
 from repro.obs import Observability
 from repro.obs.export import trace_lines
 from repro.obs.metrics import MetricsRegistry
@@ -397,16 +402,34 @@ class FreeConnectionsProfile(PlatformProfile):
         return super().calls_for_items(items, page_size)
 
 
-def _exhausting_run(platform, enabled, traced, budget, seed=3, prewarm=()):
-    """Default-config MA-TARW on a budget it runs out of.
+def memo_free_fetch(self, lookup):
+    """The memo-free runner: a ``_dead_end_fetch`` stand-in that re-runs
+    every classification and only maps the budget rejection to None."""
 
-    Returns what must not depend on the kernel (value, bill, trace
-    points, diagnostics, cache hits — the analyzer's ``cache_hits`` —
-    and misses, metrics counters minus the ``kernel.*`` resolution
-    guards, trace bytes), the budget the final recount spent, and the
-    ``(query total, deltas)`` of every replayed dead end.  *prewarm*
-    timelines are fetched through the caching client first, so
-    classification batches find them as cache hits."""
+    def fetch(node):
+        try:
+            return lookup(node)
+        except BudgetExhaustedError:
+            return None
+
+    return fetch
+
+
+def _exhausting_run(
+    platform, enabled, traced, budget, memo=True, seed=3, prewarm=(),
+    faults=None, retry_policy=None,
+):
+    """Default-config MA-TARW on a budget it runs out of, with the
+    dead-end memo on or replaced by :func:`memo_free_fetch`.
+
+    Returns what the memo must not change (value, the whole bill with its
+    ``retries`` column, trace points, diagnostics, the caching client's
+    hits, misses and uncacheable count, metrics counters minus the
+    ``kernel.*`` resolution guards, trace bytes), the budget the final
+    recount spent, and the ``(query total, deltas)`` of every replayed
+    dead end.  *prewarm* timelines are fetched through the caching client
+    first, so classification batches find them as cache hits.  *faults*
+    names a fault profile (seed 5) behind a resilient layer."""
     obs = (
         Observability(trace_sink=RecordingSink(), metrics=MetricsRegistry())
         if traced
@@ -414,11 +437,11 @@ def _exhausting_run(platform, enabled, traced, budget, seed=3, prewarm=()):
     )
     replayed = []
     recount_spend = []
-    replay = KernelOps.replay_failure
+    replay = CachingClient.replay_failure
     recount = MATARWEstimator._final_recount
 
     def spy_replay(self, deltas):
-        replayed.append((self.sim.meter.query_total, deltas))
+        replayed.append((self.meter.query_total, deltas))
         replay(self, deltas)
 
     def spy_recount(self):
@@ -427,26 +450,36 @@ def _exhausting_run(platform, enabled, traced, budget, seed=3, prewarm=()):
         recount_spend.append(self._cost() - before)
         return recounted
 
-    with kernel_switch(enabled), mock.patch.object(
-        KernelOps, "replay_failure", spy_replay
-    ), mock.patch.object(MATARWEstimator, "_final_recount", spy_recount):
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(kernel_switch(enabled))
+        stack.enter_context(mock.patch.object(CachingClient, "replay_failure", spy_replay))
+        stack.enter_context(
+            mock.patch.object(MATARWEstimator, "_final_recount", spy_recount)
+        )
+        if not memo:
+            stack.enter_context(
+                mock.patch.object(MATARWEstimator, "_dead_end_fetch", memo_free_fetch)
+            )
         sim = SimulatedMicroblogClient(platform, budget=budget, obs=obs)
         obs.bind_clock(sim.clock)
-        client = CachingClient(sim, obs=obs)
+        inner = sim
+        if faults is not None:
+            plan = dataclasses.replace(FAULT_PROFILES[faults], seed=5)
+            inner = ResilientClient(FaultInjectingClient(sim, plan, obs=obs), retry_policy, obs=obs)
+        client = CachingClient(inner, obs=obs)
         for user_id in prewarm:
             client.user_timeline(user_id)
         context = QueryContext(client, count_users(KEYWORD), obs=obs)
         oracle = LevelByLevelOracle(context, LevelIndex(interval=DAY))
         result = MATARWEstimator(context, oracle, seed=seed).estimate()
-    assert (context.kernel is not None) == enabled
+    assert (context.kernel is not None) == (enabled and faults is None)
     observed = dict(
         value=result.value,
         cost_total=result.cost_total,
         cost_by_kind=result.cost_by_kind,
         trace_points=result.trace,
         diagnostics=result.diagnostics,
-        cache_hits=client.hits,
-        cache_misses=client.misses,
+        cache=(client.hits, client.misses, client.uncacheable),
     )
     if traced:
         observed["counters"] = {
@@ -467,32 +500,51 @@ EXHAUSTION_CASES = {
     "budget-left-over": dict(budget=3_500, seed=1, profile=dict(connections_page_size=2)),
     # capped users fail through the kernel's capped-window resolution
     "capped-timelines": dict(budget=600, profile=dict(timeline_cap=2)),
+    # refused requests stop before the fault dice, so a faulted stack's
+    # dead ends are pure cache walks too (and replay)
+    "hostile": dict(budget=1_000, faults="hostile"),
+    "unstable": dict(budget=1_500, seed=1, faults="unstable"),
+    # too few attempts to heal every fault, and a breaker that trips (with
+    # no cooldown, so the walk goes on): the failures that burn retries or
+    # serve degraded pages are never replayed, the others still are
+    "weak-retries": dict(
+        budget=1_000,
+        faults="hostile",
+        retry_policy=RetryPolicy(max_attempts=3, breaker_threshold=3, breaker_cooldown=0.0),
+    ),
 }
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["dark", "traced"])
 @pytest.mark.parametrize("case", sorted(EXHAUSTION_CASES))
 def test_dead_end_replays_match_interpreted(tiny_platform, case, traced):
+    """Memo-on ≡ the memo-free runner, which re-runs (interprets) every
+    classification, on both configurations (layered, fast path + kernel)."""
     spec = dict(EXHAUSTION_CASES[case])
     platform = tiny_platform
     profile = spec.pop("profile", None)
     if profile is not None:
         platform = platform.with_profile(dataclasses.replace(platform.profile, **profile))
-    off, off_spend, off_replayed = _exhausting_run(platform, False, traced, **spec)
-    on, on_spend, on_replayed = _exhausting_run(platform, True, traced, **spec)
-    assert off_replayed == []  # the interpreted path classifies every attempt
-    assert on_replayed, "no dead end replayed: the case no longer exercises the memo"
-    assert on == off
-    assert on_spend == off_spend
     budget = spec["budget"]
-    if case == "spent-to-zero":
-        assert on["cost_total"] == budget
-    elif case == "budget-left-over":
-        assert on["cost_total"] < budget
-        assert on_spend > 0
-        assert min(spent for spent, _ in on_replayed) < on["cost_total"]
-    else:
-        assert any(misses for _, (_, misses) in on_replayed)
+    for enabled in (False, True):
+        free, free_spend, free_replayed = _exhausting_run(
+            platform, enabled, traced, memo=False, **spec
+        )
+        on, on_spend, on_replayed = _exhausting_run(platform, enabled, traced, **spec)
+        assert free_replayed == []  # the memo-free runner classifies every attempt
+        assert on_replayed, "no dead end replayed: the case no longer exercises the memo"
+        assert on == free
+        assert on_spend == free_spend
+        if case == "spent-to-zero":
+            assert on["cost_total"] == budget
+        elif case == "budget-left-over":
+            assert on["cost_total"] < budget
+            assert on_spend > 0
+            assert min(spent for spent, _ in on_replayed) < on["cost_total"]
+        elif case == "capped-timelines":
+            assert any(misses for _, (_, misses) in on_replayed)
+        elif case == "weak-retries":
+            assert on["cache"][2] > 0  # degraded pages were served uncached
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["dark", "traced"])
@@ -500,18 +552,21 @@ def test_first_failure_with_side_effects_is_not_replayed(tiny_platform, traced):
     """A first failure that memoises cache-hit prefix users and fills the
     connections cache through a zero-call charge changes the next
     attempt's footprint (hits and misses move), so only the later,
-    identical failures may replay."""
+    identical failures may replay — on both configurations."""
     profile = FreeConnectionsProfile(**dataclasses.asdict(tiny_platform.profile))
     platform = tiny_platform.with_profile(profile)
     users, _ = platform.store.first_mention_arrays(KEYWORD)
     prewarm = users.tolist()[::2]
     spec = dict(budget=len(prewarm) + 300, prewarm=prewarm)
-    off, _, _ = _exhausting_run(platform, False, traced, **spec)
-    on, _, on_replayed = _exhausting_run(platform, True, traced, **spec)
-    assert on_replayed
-    assert on == off
-    if traced:
-        assert '"calls":0' in on["trace"]
+    for enabled in (False, True):
+        free, _, _ = _exhausting_run(platform, enabled, traced, memo=False, **spec)
+        on, _, on_replayed = _exhausting_run(platform, enabled, traced, **spec)
+        assert on_replayed
+        assert on == free
+        if traced:
+            assert '"calls":0' in on["trace"]
+
+
 # ----------------------------------------------------------------------
 # Eq. 6 DP: incremental evaluator ≡ interpreted dict recursion
 # ----------------------------------------------------------------------
