@@ -65,6 +65,13 @@ class SimulatedMicroblogClient(MicroblogAPI):
         # estimation run cannot shift another's search-recency window.
         self.clock = SimulatedClock(platform.clock.now())
         self.limiter = RateLimiter(platform.profile, self.clock, policy=rate_limit_policy)
+        cap = platform.profile.timeline_cap
+        self._timeline_ceiling: Optional[int] = (
+            None if cap is None else self._timeline_calls(cap)
+        )
+        """The most any timeline request can cost (None when timelines are
+        uncapped): while the budget's headroom covers it, :meth:`admit`
+        lets a timeline request through without pricing it."""
 
     # ------------------------------------------------------------------
     # internals
@@ -201,13 +208,23 @@ class SimulatedMicroblogClient(MicroblogAPI):
         ``("connections", user_id, None)`` or ``("search", keyword,
         max_results)``.  Raises the :class:`BudgetExhaustedError` the
         charge would raise, recording nothing; prices from lengths, so
-        nothing is materialised.  An unknown user is admitted: its request
+        nothing is materialised.  A timeline request is not priced at all
+        while the budget's headroom covers the dearest timeline (the
+        ``timeline_cap`` price).  An unknown user is admitted: its request
         fails with :class:`APIError` when sent.
         """
         meter = self.meter
-        if meter.budget is None:
+        budget = meter.budget
+        if budget is None:
             return
         kind, subject, extra = key
+        ceiling = self._timeline_ceiling
+        if (
+            kind == accounting.TIMELINE
+            and ceiling is not None
+            and budget - meter.query_total >= ceiling
+        ):
+            return
         store = self.platform.store
         if kind == accounting.SEARCH:
             calls = self._search_calls(len(self._search_hits(subject, extra)))

@@ -14,7 +14,12 @@ and end up bit-identical to a fault-free run:
   rather than by a shared stream, so the outcome of a request does not
   depend on which other requests happened before it.  Per-shard clients
   in the parallel engine therefore inject the *same* faults for the same
-  request regardless of worker count or interleaving.
+  request regardless of worker count or interleaving.  Each draw is the
+  first uniform of a ``random.Random`` seeded with a string formatted
+  from that triple; as a pure function of that string it is memoised
+  process-wide (:func:`seeded_uniform`), so a request re-asked in a
+  later walk or query re-reads its dice instead of re-seeding a
+  Mersenne Twister.
 * The clean inner response for each logical request is fetched (and its
   query cost charged) exactly **once**, no matter how many injected
   failures precede the successful attempt — so the budgeted query
@@ -31,7 +36,9 @@ and end up bit-identical to a fault-free run:
   re-asking a refused request is free of side effects.  Retries of an
   already-paid truncated response (no further charge) and requests for
   unknown users (which fail with :class:`APIError` when sent) skip the
-  check.
+  check.  Admission is gated on headroom: while the budget left covers
+  the dearest timeline, a timeline request is admitted without being
+  priced.
 
 Fault kinds, in draw order:
 
@@ -52,6 +59,7 @@ Fault kinds, in draw order:
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
@@ -71,6 +79,26 @@ TRUNCATE = "truncate"
 DUPLICATE = "duplicate"
 
 RequestKey = Tuple[str, object, object]
+
+SEEDED_UNIFORM_CACHE = 1 << 16
+"""Bound on the memo of :func:`seeded_uniform` (least recently used
+seed strings are dropped beyond it)."""
+
+
+@functools.lru_cache(maxsize=SEEDED_UNIFORM_CACHE)
+def seeded_uniform(text: str) -> float:
+    """``random.Random(text).random()``: the first uniform of a generator
+    seeded with *text*, memoised.
+
+    Fault draws and backoff jitter are pure functions of a seed string,
+    and a hostile run asks for the same strings again and again (every
+    re-walk of a node re-asks its requests), while seeding one Mersenne
+    Twister costs far more than the draw.  The memo is keyed on the exact
+    string, not on the values it was formatted from: values that compare
+    equal can format differently (``np.int64(5) == 5``, yet their reprs
+    differ), and the string is what seeds the draw.
+    """
+    return random.Random(text).random()
 
 
 @dataclass(frozen=True)
@@ -174,12 +202,13 @@ class FaultInjectingClient(MicroblogAPI):
 
         The draw is a pure function of (plan seed, key, attempt): no
         shared RNG stream, so request interleaving across walkers,
-        shards or workers cannot change any individual outcome.
+        shards or workers cannot change any individual outcome — and a
+        memoised one (:func:`seeded_uniform`).
         """
         if self._consecutive.get(key, 0) >= self.plan.max_consecutive_faults:
             return None
         plan = self.plan
-        u = random.Random(f"{plan.seed}:{key!r}:{attempt}").random()
+        u = seeded_uniform(f"{plan.seed}:{key!r}:{attempt}")
         edge = plan.transient_rate
         if u < edge:
             return TRANSIENT

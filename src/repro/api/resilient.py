@@ -7,8 +7,10 @@ transient-fault family (:class:`TransientAPIError` and subclasses):
   to :attr:`RetryPolicy.max_attempts` times.  Backoff delays grow
   geometrically, are capped, carry *deterministic* jitter (a pure hash
   of policy seed, request key and attempt number — no shared RNG
-  stream), and advance only the wrapped client's :class:`SimulatedClock`
-  so wall time and estimator randomness are untouched.
+  stream — memoised like the fault draws by
+  :func:`~repro.api.faults.seeded_uniform`), and advance only the
+  wrapped client's :class:`SimulatedClock` so wall time and estimator
+  randomness are untouched.
 * **Retry accounting.**  Every failed attempt charges one call to the
   :class:`~repro.api.accounting.CostMeter` under the budget-exempt
   ``retries`` kind, so the waste a crawl pays is fully visible without
@@ -16,8 +18,11 @@ transient-fault family (:class:`TransientAPIError` and subclasses):
 * **Circuit breaker.**  After ``breaker_threshold`` *consecutive*
   failures the circuit opens for ``breaker_cooldown`` simulated seconds:
   requests stop hitting the platform and are served from the last good
-  response for the same request, flagged as degraded.  After the
-  cooldown a single probe request half-opens the circuit.
+  response for the same request, flagged as degraded, or fail fast with
+  :class:`CircuitOpenError`.  Each request the open circuit turns away
+  waits ``base_delay`` on the simulated clock (booked in
+  :attr:`ResilientClient.backoff_wait`), so the cooldown elapses within
+  a run; after it a single probe request half-opens the circuit.
 * **Degraded fallbacks.**  When retries are exhausted the client falls
   back — in order — to the last good response for the key, then to the
   ``.partial`` payload of a truncated transfer.  Served fallbacks set
@@ -39,9 +44,8 @@ from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Dict, Optional, Sequence, Tuple
 
-import random
-
 from repro.api import accounting
+from repro.api.faults import seeded_uniform
 from repro.api.interface import MicroblogAPI, SearchHit, TimelineView
 from repro.errors import (
     BudgetExhaustedError,
@@ -94,12 +98,13 @@ class RetryPolicy:
         """Backoff before retry *attempt* of *key* (simulated seconds).
 
         Deterministic jitter: a pure function of (seed, key, attempt),
-        so retry timing cannot depend on request interleaving.
+        so retry timing cannot depend on request interleaving; memoised
+        on its seed string by :func:`~repro.api.faults.seeded_uniform`.
         """
         base = min(self.max_delay, self.base_delay * self.backoff_factor**attempt)
         if self.jitter == 0.0:
             return base
-        u = random.Random(f"{self.seed}:backoff:{key!r}:{attempt}").random()
+        u = seeded_uniform(f"{self.seed}:backoff:{key!r}:{attempt}")
         return base * (1.0 - self.jitter + 2.0 * self.jitter * u)
 
 
@@ -221,6 +226,12 @@ class ResilientClient(MicroblogAPI):
         if self.circuit_open:
             # While open, don't touch the platform at all: serve stale
             # or fail fast so a melting-down API gets room to recover.
+            # The turned-away request still waits one base delay, so the
+            # cooldown elapses on the simulated clock and a later request
+            # can half-open the circuit.
+            delay = self.policy.base_delay
+            self.backoff_wait += delay
+            self._clock.advance(delay)
             return self._degrade(key, CircuitOpenError(f"circuit open for {key}"))
         last_err: Optional[TransientAPIError] = None
         for attempt in range(self.policy.max_attempts):

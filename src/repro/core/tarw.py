@@ -201,6 +201,11 @@ def _dp_passes_rows(order_up, order_down, start, d_rows, up_counts,
     levels), and the live entries appear in neighbor-list order.  Callers
     must ignore the sentinel slot (``zip`` against the n-row id list
     already does).
+
+    A degraded (partial) connections page can leave an edge in one
+    endpoint's lists only; a partner whose own list in that direction is
+    empty then has a zero count and passes no mass over the edge.  The
+    skip costs nothing on the consistent graphs a clean stack builds.
     """
     n = len(order_up)
     p_up = [0.0] * (n + 1)
@@ -209,7 +214,10 @@ def _dp_passes_rows(order_up, order_down, start, d_rows, up_counts,
         for j in d_rows[i]:
             pj = p_up[j]
             if pj > 0.0:
-                value += pj / up_counts[j]
+                try:
+                    value += pj / up_counts[j]
+                except ZeroDivisionError:
+                    pass
         p_up[i] = value
     p_down = [0.0] * (n + 1)
     for i in order_down:
@@ -220,7 +228,10 @@ def _dp_passes_rows(order_up, order_down, start, d_rows, up_counts,
         for j in u_rows[i]:
             pj = p_down[j]
             if pj > 0.0:
-                value += pj / down_counts[j]
+                try:
+                    value += pj / down_counts[j]
+                except ZeroDivisionError:
+                    pass
         p_down[i] = value
     return p_up, p_down
 

@@ -1,5 +1,7 @@
 """Tests for the simulated API client and the caching wrapper."""
 
+import dataclasses
+
 import pytest
 
 from repro.api import accounting
@@ -158,3 +160,136 @@ class TestSearchResultsCap:
         # and the survivors are the newest posts
         uncapped = SimulatedMicroblogClient(tiny_platform).search("privacy")
         assert [h.post_id for h in hits] == [h.post_id for h in uncapped[:len(hits)]]
+
+
+# ----------------------------------------------------------------------
+# admission: the headroom gate against the full pricing rule
+# ----------------------------------------------------------------------
+def _priced_admit(client, key):
+    """Admission with every request priced from lengths: the rule
+    :meth:`SimulatedMicroblogClient.admit` followed before timeline
+    requests were let through on headroom.  The oracle of the gate."""
+    meter = client.meter
+    if meter.budget is None:
+        return
+    kind, subject, extra = key
+    store = client.platform.store
+    if kind == accounting.SEARCH:
+        calls = client._search_calls(len(client._search_hits(subject, extra)))
+    elif not store.has_user(subject):
+        return
+    elif kind == accounting.TIMELINE:
+        calls = client._timeline_calls(store.timeline_length(subject))
+    else:
+        calls = client._connections_calls(store.graph.degree(subject))
+    meter.admit(calls)
+
+
+def _outcome(admit, client, key):
+    try:
+        admit(client, key)
+    except BudgetExhaustedError as err:
+        return ("refused", err.spent, err.budget)
+    return "admitted"
+
+
+UNKNOWN_USER = 10**9
+
+
+class TestHeadroomAdmission:
+    """Timeline requests are admitted unpriced while the budget's headroom
+    covers the dearest timeline (the ``timeline_cap`` price); at and below
+    that edge admission refuses exactly what the full pricing refuses."""
+
+    CAP, PAGE = 4, 2  # the dearest timeline costs 2 calls
+
+    def _platform(self, tiny_platform, cap=CAP):
+        profile = dataclasses.replace(
+            tiny_platform.profile, timeline_cap=cap, timeline_page_size=self.PAGE
+        )
+        return tiny_platform.with_profile(profile)
+
+    @staticmethod
+    def _users(platform):
+        """A user whose timeline fills the cap, one with a single post, one
+        with none."""
+        store = platform.store
+        by_length = {}
+        for user_id in store.user_ids():
+            length = store.timeline_length(user_id)
+            key = "long" if length >= 6 else length if length <= 1 else None
+            if key is not None:
+                by_length.setdefault(key, user_id)
+        return by_length["long"], by_length[1], by_length[0]
+
+    @staticmethod
+    def _client(platform, budget, headroom):
+        client = SimulatedMicroblogClient(platform, budget=budget)
+        client.meter.charge(accounting.SEARCH, budget - headroom)
+        return client
+
+    def test_matches_the_full_pricing_on_every_edge(self, tiny_platform):
+        budget = 50
+        for cap in (self.CAP, None):
+            platform = self._platform(tiny_platform, cap)
+            long_user, short_user, silent_user = self._users(platform)
+            keys = [
+                (kind, user_id, None)
+                for kind in (accounting.TIMELINE, accounting.CONNECTIONS)
+                for user_id in (long_user, short_user, silent_user, UNKNOWN_USER)
+            ] + [(accounting.SEARCH, "privacy", None), (accounting.SEARCH, "privacy", 1)]
+            for headroom in range(6):
+                client = self._client(platform, budget, headroom)
+                for key in keys:
+                    assert _outcome(SimulatedMicroblogClient.admit, client, key) == _outcome(
+                        _priced_admit, client, key
+                    ), (cap, headroom, key)
+
+    def test_request_priced_at_the_headroom_is_admitted(self, tiny_platform):
+        platform = self._platform(tiny_platform)
+        long_user, _, _ = self._users(platform)
+        ceiling = self.CAP // self.PAGE
+        client = self._client(platform, 50, headroom=ceiling)
+        client.admit((accounting.TIMELINE, long_user, None))
+        client.user_timeline(long_user)  # and the charge agrees
+        assert client.meter.remaining == 0
+
+    def test_request_one_call_over_is_refused(self, tiny_platform):
+        platform = self._platform(tiny_platform)
+        long_user, _, _ = self._users(platform)
+        ceiling = self.CAP // self.PAGE
+        client = self._client(platform, 50, headroom=ceiling - 1)
+        with pytest.raises(BudgetExhaustedError) as excinfo:
+            client.admit((accounting.TIMELINE, long_user, None))
+        assert (excinfo.value.spent, excinfo.value.budget) == (50 - ceiling + 1, 50)
+        with pytest.raises(BudgetExhaustedError):
+            client.user_timeline(long_user)
+
+    def test_unknown_users_are_admitted(self, tiny_platform):
+        platform = self._platform(tiny_platform)
+        for headroom in (0, self.CAP // self.PAGE):
+            client = self._client(platform, 50, headroom)
+            client.admit((accounting.TIMELINE, UNKNOWN_USER, None))
+            client.admit((accounting.CONNECTIONS, UNKNOWN_USER, None))
+
+    def test_headroom_skips_pricing_and_uncapped_timelines_are_priced(
+        self, tiny_platform, monkeypatch
+    ):
+        def unpriced(posts):
+            raise AssertionError("timeline priced despite headroom")
+
+        long_user, _, _ = self._users(self._platform(tiny_platform))
+        client = self._client(self._platform(tiny_platform), 50, headroom=2)
+        monkeypatch.setattr(client, "_timeline_calls", unpriced)
+        client.admit((accounting.TIMELINE, long_user, None))
+
+        # No cap, no ceiling: a long timeline is priced even with room.
+        uncapped = self._platform(tiny_platform, cap=None)
+        price = -(-uncapped.store.timeline_length(long_user) // self.PAGE)
+        assert price > 2
+        client = self._client(uncapped, 50, headroom=price - 1)
+        with pytest.raises(BudgetExhaustedError):
+            client.admit((accounting.TIMELINE, long_user, None))
+        self._client(uncapped, 50, headroom=price).admit(
+            (accounting.TIMELINE, long_user, None)
+        )

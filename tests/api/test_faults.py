@@ -1,20 +1,30 @@
 """Chaos suite for the fault-injection + resilient client layers.
 
 Pins the contracts that make injected faults *healable*: deterministic
-seeded draws, exactly-once query charging, budget-exempt retry
-accounting, deterministic backoff, circuit-breaker degradation, and the
-poisoned-cache regression (degraded responses must never be memoised).
+seeded draws (memoised without moving one), exactly-once query charging,
+budget-exempt retry accounting, deterministic backoff, circuit-breaker
+degradation, and the poisoned-cache regression (degraded responses must
+never be memoised).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import random
 
+import numpy as np
 import pytest
 
+from repro.api import faults, resilient
 from repro.api.accounting import RETRIES
 from repro.api.client import CachingClient, SimulatedMicroblogClient
-from repro.api.faults import FAULT_PROFILES, FaultInjectingClient, FaultPlan
+from repro.api.faults import (
+    FAULT_PROFILES,
+    SEEDED_UNIFORM_CACHE,
+    FaultInjectingClient,
+    FaultPlan,
+    seeded_uniform,
+)
 from repro.api.interface import MicroblogAPI, TimelineView
 from repro.api.resilient import ResilientClient, RetryPolicy
 from repro.errors import (
@@ -25,7 +35,10 @@ from repro.errors import (
     TransientAPIError,
     TruncatedResponseError,
 )
+from repro.core.analyzer import MicroblogAnalyzer
+from repro.core.query import count_users
 from repro.obs import MetricsRegistry, Observability
+from repro.obs.export import metrics_json, trace_lines
 from repro.obs.trace import RecordingSink
 
 pytestmark = pytest.mark.chaos
@@ -90,6 +103,117 @@ def test_fault_draws_are_order_independent(tiny_platform):
     backward = fault_log([4, 3, 2, 1, 0])
     assert forward == backward
     assert any(o != ("ok",) for o in forward.values())  # faults actually fired
+
+
+# ----------------------------------------------------------------------
+# memoised draws: the same dice, read instead of re-seeded
+# ----------------------------------------------------------------------
+def _fresh_uniform(text: str) -> float:
+    """The unmemoised draw: a new generator seeded with *text*."""
+    return random.Random(text).random()
+
+
+DRAW_KEYS = [
+    ("timeline", 5, None),
+    ("timeline", np.int64(5), None),
+    ("connections", 1999, None),
+    ("connections", np.int64(1999), None),
+    ("search", "privacy", None),
+    ("search", "boston", 100),
+]
+
+
+def _draw_texts():
+    """Seed strings formatted as the fault and backoff draws format them."""
+    return [
+        text
+        for seed in (0, 7, 2**32 - 1)
+        for key in DRAW_KEYS
+        for attempt in range(4)
+        for text in (f"{seed}:{key!r}:{attempt}", f"{seed}:backoff:{key!r}:{attempt}")
+    ]
+
+
+def test_seeded_uniform_is_the_seeded_first_draw():
+    texts = _draw_texts()
+    expected = [_fresh_uniform(text) for text in texts]
+    seeded_uniform.cache_clear()
+    assert [seeded_uniform(text) for text in texts] == expected  # cold
+    assert [seeded_uniform(text) for text in texts] == expected  # warm
+    assert seeded_uniform.cache_info().hits >= len(texts)
+    # An np.int64 id equals its int and hashes alike, but formats apart:
+    # the memo is keyed on the string, so each keeps its own draw.
+    assert np.int64(5) == 5 and hash(np.int64(5)) == hash(5)
+    assert repr(DRAW_KEYS[0]) != repr(DRAW_KEYS[1])
+
+
+def _fault_for(plan, u):
+    """The fault a uniform *u* selects: the rates partition [0, 1)."""
+    edge = 0.0
+    for fault, rate in (
+        ("transient", plan.transient_rate),
+        ("timeout", plan.timeout_rate),
+        ("truncate", plan.truncate_rate),
+        ("duplicate", plan.duplicate_rate),
+    ):
+        edge += rate
+        if u < edge:
+            return fault
+    return None
+
+
+def test_fault_and_backoff_draws_read_the_exact_seed_string(tiny_platform):
+    plan = FAULT_PROFILES["hostile"]
+    policy = RetryPolicy(seed=9)
+    client = FaultInjectingClient(SimulatedMicroblogClient(tiny_platform), plan)
+    seeded_uniform.cache_clear()
+    for _ in ("cold", "warm"):
+        for key in DRAW_KEYS:
+            for attempt in range(4):
+                u = _fresh_uniform(f"{plan.seed}:{key!r}:{attempt}")
+                assert client._draw(key, attempt) == _fault_for(plan, u)
+                jitter = _fresh_uniform(f"{policy.seed}:backoff:{key!r}:{attempt}")
+                base = min(policy.max_delay, policy.base_delay * policy.backoff_factor**attempt)
+                assert policy.delay_for(key, attempt) == base * (
+                    1.0 - policy.jitter + 2.0 * policy.jitter * jitter
+                )
+
+
+def test_seeded_uniform_memo_is_bounded():
+    assert SEEDED_UNIFORM_CACHE == 1 << 16
+    assert seeded_uniform.cache_info().maxsize == SEEDED_UNIFORM_CACHE
+
+
+def _hostile_estimate(platform):
+    obs = Observability(trace_sink=RecordingSink(), metrics=MetricsRegistry())
+    analyzer = MicroblogAnalyzer(
+        platform, algorithm="ma-tarw", seed=3, fault_plan=FAULT_PROFILES["hostile"], obs=obs
+    )
+    result = analyzer.estimate(count_users("privacy"), budget=1_500)
+    return (
+        result.value,
+        result.cost_by_kind,
+        metrics_json(obs.metrics),
+        "\n".join(trace_lines(obs.trace_records())),
+    )
+
+
+def test_hostile_estimate_is_identical_cold_warm_and_unmemoised(tiny_platform, monkeypatch):
+    """The memo moves no fault, retry, backoff, charge or trace event: a
+    hostile MA-TARW estimate reads the same on a cold memo, a warm one,
+    after ``cache_clear()`` and with every draw re-seeded afresh."""
+    seeded_uniform.cache_clear()
+    cold = _hostile_estimate(tiny_platform)
+    warm = _hostile_estimate(tiny_platform)
+    seeded_uniform.cache_clear()
+    cleared = _hostile_estimate(tiny_platform)
+    monkeypatch.setattr(faults, "seeded_uniform", _fresh_uniform)
+    monkeypatch.setattr(resilient, "seeded_uniform", _fresh_uniform)
+    unmemoised = _hostile_estimate(tiny_platform)
+    assert cold == warm == cleared == unmemoised
+    value, cost_by_kind, metrics, _ = cold
+    assert value is not None and cost_by_kind[RETRIES] > 0
+    assert '"faults.injected{fault=transient}"' in metrics
 
 
 def test_max_consecutive_faults_guarantees_success(tiny_platform):
@@ -325,6 +449,36 @@ def test_breaker_half_opens_after_cooldown(tiny_platform):
     assert client.circuit_open
     client.clock.advance(policy.breaker_cooldown + 1.0)
     assert not client.circuit_open
+    # The half-open probe goes through to the (recovered) platform.
+    assert client.user_connections(0) == tuple(
+        SimulatedMicroblogClient(tiny_platform).user_connections(0)
+    )
+    assert not client.circuit_open
+
+
+def test_turned_away_requests_wait_out_the_cooldown(tiny_platform):
+    """A request the open circuit turns away waits one base delay on the
+    simulated clock, booked as backoff, so the cooldown elapses within a
+    run and a later request half-opens the circuit."""
+    policy = RetryPolicy(
+        max_attempts=1, base_delay=5.0, breaker_threshold=2, breaker_cooldown=60.0
+    )
+    scripted = _ScriptedClient(SimulatedMicroblogClient(tiny_platform), fail_for=2)
+    client = ResilientClient(scripted, policy)
+    for _ in range(2):
+        with pytest.raises(TransientAPIError):
+            client.user_connections(0)
+    assert client.circuit_open
+    calls, wait, now = scripted.calls, client.backoff_wait, client.clock.now()
+    for turned_away in range(1, 100):
+        with pytest.raises(CircuitOpenError):
+            client.user_connections(0)
+        if not client.circuit_open:
+            break
+    assert turned_away == 12  # a 60 s cooldown at 5 s per turned-away request
+    assert scripted.calls == calls  # none of them reached the platform
+    assert client.backoff_wait == wait + turned_away * policy.base_delay
+    assert client.clock.now() == now + turned_away * policy.base_delay
     # The half-open probe goes through to the (recovered) platform.
     assert client.user_connections(0) == tuple(
         SimulatedMicroblogClient(tiny_platform).user_connections(0)

@@ -730,3 +730,17 @@ def test_dp_empty_subgraph():
     assert state.tables(frozenset(), 0) == ({}, {})
     state.note_classified(7, None, (), ())  # classified, but no level
     assert state.tables(frozenset({7}), 1) == ({}, {})
+
+
+def test_dp_one_sided_edge_passes_no_mass():
+    """A degraded (partial) connections page can leave an edge in one
+    endpoint's lists only.  The partner whose list in that direction is
+    empty passes no mass over the edge instead of dividing by zero."""
+    state = _DPGraphState()
+    state.note_classified(1, 0, (), (2,))  # 1 lists 2 below it ...
+    state.note_classified(2, 1, (), ())  # ... 2's page lost 1
+    state.note_classified(3, 0, (), ())  # 3's page lost 4 ...
+    state.note_classified(4, 1, (3,), ())  # ... 4 lists 3 above it
+    p_up, p_down = state.tables(frozenset({2, 3}), 2)
+    assert p_up == {1: 0.0, 2: 0.5, 3: 0.5, 4: 0.0}
+    assert p_down == {1: 0.0, 2: 0.5, 3: 0.5, 4: 0.0}

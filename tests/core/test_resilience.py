@@ -14,13 +14,17 @@ full budgeted walk; the assertions slice the same handful of runs.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from repro.api.accounting import RETRIES
+from repro.api.accounting import RETRIES, TIMELINE
 from repro.api.faults import FAULT_PROFILES, FaultPlan
 from repro.api.resilient import RetryPolicy
 from repro.core.analyzer import MicroblogAnalyzer
 from repro.core.query import FOLLOWERS, avg_of
+from repro.obs import MetricsRegistry, Observability
+from repro.obs.trace import RecordingSink
 
 pytestmark = pytest.mark.chaos
 
@@ -175,3 +179,32 @@ def test_walk_survives_unhealable_faults(tiny_platform, algorithm):
     else:
         assert diagnostics.get("fault_restarts", 0.0) > 0
     assert result.cost_by_kind.get(RETRIES, 0) > 0
+
+
+# ----------------------------------------------------------------------
+# an opened breaker half-opens within the run
+# ----------------------------------------------------------------------
+def test_open_breaker_half_opens_within_a_walk(tiny_platform):
+    """A breaker tight enough to open under ``hostile`` must not starve the
+    walk: requests the open circuit turns away wait out the cooldown on
+    the simulated clock, a probe half-opens the circuit and the walk goes
+    on spending its budget (it used to stop after one timeline call)."""
+    policy = RetryPolicy(max_attempts=3, breaker_threshold=3, breaker_cooldown=60.0)
+    obs = Observability(trace_sink=RecordingSink(), metrics=MetricsRegistry())
+    analyzer = MicroblogAnalyzer(
+        tiny_platform,
+        algorithm="ma-tarw",
+        seed=0,
+        fault_plan=FAULT_PROFILES["hostile"],
+        retry_policy=policy,
+        obs=obs,
+    )
+    result = analyzer.estimate(QUERY, budget=1_000)
+    events = Counter(
+        record["name"] for record in obs.trace_records() if record["kind"] == "event"
+    )
+    assert events["api.circuit_open"] > 0
+    assert events["api.circuit_close"] > 0  # a half-open probe succeeded
+    assert result.cost_by_kind[TIMELINE] > 1
+    assert result.cost_total <= 1_000
+    assert result.value is not None
