@@ -145,8 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "admission policy) plus the queries to run — see "
                             "repro.service.workload for the format")
     serve.add_argument("--threads", type=int, default=4,
-                       help="service thread-pool width (default 4; outcomes "
-                            "are bit-identical at every width)")
+                       help="how many API waits may overlap (default 4; "
+                            "threads overlap API latency only, so zero-latency "
+                            "batches, like the simulated platform's, run "
+                            "inline; outcomes are bit-identical at every width)")
     serve.add_argument("--algorithm", default="ma-tarw", choices=ALGORITHMS,
                        help="estimation walker every query runs (default ma-tarw)")
     serve.add_argument("--graph-design", default="level-by-level",

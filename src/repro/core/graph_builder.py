@@ -26,7 +26,7 @@ because so many neighbors must be inspected.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,6 +107,18 @@ class QueryContext:
         if fast is not None:
             return fast.connections(user_id)
         return self.client.user_connections(user_id)
+
+    def degraded_serves(self) -> int:
+        """Responses the client has served degraded so far.
+
+        A degraded response (a circuit-breaker fallback, or the partial
+        page of a truncated transfer) may answer the current step, but an
+        oracle must not memoise a neighbourhood built from it: the node is
+        looked at again once the platform recovers.  The caching client
+        counts these as ``uncacheable``; a client without that counter
+        never reports one.
+        """
+        return getattr(self.client, "uncacheable", 0)
 
     # ------------------------------------------------------------------
     # derived, memoised per-user facts
@@ -237,9 +249,15 @@ class SocialGraphOracle:
         self._cache: Dict[int, Sequence[int]] = {}
 
     def neighbors(self, user_id: int) -> Sequence[int]:
-        if user_id not in self._cache:
-            self._cache[user_id] = self.context.connections(user_id)
-        return self._cache[user_id]
+        cached = self._cache.get(user_id)
+        if cached is not None:
+            return cached
+        context = self.context
+        served = context.degraded_serves()
+        connections = context.connections(user_id)
+        if context.degraded_serves() == served:
+            self._cache[user_id] = connections
+        return connections
 
     def degree(self, user_id: int) -> int:
         return len(self.neighbors(user_id))
@@ -259,13 +277,18 @@ class TermInducedOracle:
         self._cache: Dict[int, List[int]] = {}
 
     def neighbors(self, user_id: int) -> List[int]:
-        if user_id not in self._cache:
-            connections = self.context.connections(user_id)
-            mentions = self.context.first_mentions(connections)
-            self._cache[user_id] = [
-                v for v, mention in zip(connections, mentions) if mention is not None
-            ]
-        return self._cache[user_id]
+        cached = self._cache.get(user_id)
+        if cached is not None:
+            return cached
+        context = self.context
+        served = context.degraded_serves()
+        connections = context.connections(user_id)
+        degraded = context.degraded_serves() != served
+        mentions = context.first_mentions(connections)
+        kept = [v for v, mention in zip(connections, mentions) if mention is not None]
+        if not degraded:
+            self._cache[user_id] = kept
+        return kept
 
     def degree(self, user_id: int) -> int:
         return len(self.neighbors(user_id))
@@ -353,7 +376,7 @@ class LevelByLevelOracle:
                 out[i] = value
         return out
 
-    def _classify(self, user_id: int) -> None:
+    def _classify(self, user_id: int) -> Tuple[List[int], List[int], List[int]]:
         """Split *user_id*'s neighborhood into kept / up / down lists.
 
         One body for every client stack: ``first_mentions`` resolves the
@@ -361,14 +384,23 @@ class LevelByLevelOracle:
         resolved, per-user layered fetches otherwise, with identical
         charges), and every bucketed neighbor's level lands in the level
         memo.
+
+        A neighbourhood built from a degraded connections page is returned
+        for the current step but not memoised (nor counted as classified):
+        keeping it would leave edges that only one endpoint lists, and the
+        node would never be classified again once the platform recovers.
         """
         own_level = self.level_of(user_id)
         all_neighbors: List[int] = []
         up: List[int] = []
         down: List[int] = []
+        degraded = False
         if own_level is not None:
-            neighbors = self.context.connections(user_id)
-            levels = self._bucket(self.context.first_mentions(neighbors))
+            context = self.context
+            served = context.degraded_serves()
+            neighbors = context.connections(user_id)
+            degraded = context.degraded_serves() != served
+            levels = self._bucket(context.first_mentions(neighbors))
             level_memo = self._levels
             keep_intra = self.keep_intra_fraction > 0.0
             for v, level in zip(neighbors, levels):
@@ -384,11 +416,13 @@ class LevelByLevelOracle:
                     up.append(v)
                 else:
                     down.append(v)
-        self._cache[user_id] = all_neighbors
-        self._up[user_id] = up
-        self._down[user_id] = down
-        self._note_classified(user_id, own_level, len(up), len(down))
-        self.classify_epoch += 1
+        if not degraded:
+            self._cache[user_id] = all_neighbors
+            self._up[user_id] = up
+            self._down[user_id] = down
+            self._note_classified(user_id, own_level, len(up), len(down))
+            self.classify_epoch += 1
+        return all_neighbors, up, down
 
     def _note_classified(
         self, user_id: int, level: Optional[int], up: int, down: int
@@ -407,24 +441,21 @@ class LevelByLevelOracle:
 
     # ------------------------------------------------------------------
     def neighbors(self, user_id: int) -> List[int]:
-        if user_id not in self._cache:
-            self._classify(user_id)
-        return self._cache[user_id]
+        cached = self._cache.get(user_id)
+        return self._classify(user_id)[0] if cached is None else cached
 
     def degree(self, user_id: int) -> int:
         return len(self.neighbors(user_id))
 
     def up_neighbors(self, user_id: int) -> List[int]:
         """Neighbors in strictly earlier levels — toward the top (∇(u))."""
-        if user_id not in self._up:
-            self._classify(user_id)
-        return self._up[user_id]
+        cached = self._up.get(user_id)
+        return self._classify(user_id)[1] if cached is None else cached
 
     def down_neighbors(self, user_id: int) -> List[int]:
         """Neighbors in strictly later levels — toward the bottom (∆(u))."""
-        if user_id not in self._down:
-            self._classify(user_id)
-        return self._down[user_id]
+        cached = self._down.get(user_id)
+        return self._classify(user_id)[2] if cached is None else cached
 
     def classified_nodes(self) -> List[int]:
         """All nodes whose neighborhoods have been fully classified.

@@ -187,6 +187,9 @@ class RecordingContext:
     def fast(self):
         return self._context.fast
 
+    def degraded_serves(self) -> int:
+        return self._context.degraded_serves()
+
     # -- recorded operations ---------------------------------------------
     def _record(self, method: str, args: Tuple, fn):
         try:

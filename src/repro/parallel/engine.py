@@ -16,8 +16,12 @@ Executor selection (``executor=`` on :class:`ExecutionEngine`):
 * ``"thread"`` — :class:`~concurrent.futures.ThreadPoolExecutor`; shares
   the live in-process platform, so it is the natural home for
   simulator-backed shard runs, and it genuinely overlaps any real
-  per-call API latency (the "Walk, Not Wait" effect) even though pure
-  Python compute serialises on the GIL.
+  per-call API latency (the "Walk, Not Wait" effect).  Latency is all it
+  overlaps: pure Python compute serialises on the GIL, and threads
+  passing it back and forth cost each task more CPU than one thread does
+  (see docs/BENCHMARKS.md), so callers whose tasks never wait should ask
+  for one worker (the estimation service runs zero-latency batches
+  inline).
 * ``"auto"`` (default) — probe-pickle the first task and pick
   ``"process"`` when it round-trips, else fall back to ``"thread"``.
   Closures over live simulators therefore run threaded without the

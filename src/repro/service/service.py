@@ -3,7 +3,8 @@
 :class:`EstimationService` is a thread-pool front end over the existing
 :class:`~repro.parallel.engine.ExecutionEngine`: many tenants submit
 aggregate queries against one shared frozen (or mmap) platform, and the
-service answers them concurrently while reusing everything reusable
+service answers them — concurrently, when its client stack waits on API
+latency — while reusing everything reusable
 across queries — the keyword → chosen-interval cache with its replayable
 pilot ledger, the shared first-mention columns (both via
 :class:`~repro.core.reuse.SharedQueryState`), and a whole-result cache
@@ -16,8 +17,10 @@ The contract the ``service`` test tier pins, and how it is met:
   exported trace bytes at every thread count.  Admission runs serially
   in submission order (reservation-based, refund-free — see
   :mod:`repro.service.tenants`); execution fans out through the engine,
-  which returns results in task order; collection folds tenant bills and
-  emits ``service.*`` telemetry serially in request order.  Each query's
+  which returns results in task order, when the client stack waits on
+  API latency, and runs inline in plan order when it does not;
+  collection folds tenant bills and emits ``service.*`` telemetry
+  serially in request order.  Each query's
   seed derives statelessly from the service seed and the query's own
   fingerprint, so no thread interleaving can reach any query's RNG.
 * **Warm ≡ cold.**  A reuse-cache hit is bit-identical to the cache-miss
@@ -284,6 +287,14 @@ class EstimationService:
         collection (tenant bills, ``service.*`` telemetry) are serial in
         request order; only the estimation work itself fans out, so the
         thread count is invisible in every output.
+
+        Threads overlap API waits and nothing else ("Walk, Not Wait"):
+        with zero ``api_latency`` every estimate is CPU-bound Python, and
+        a pool would only hand the GIL back and forth between its workers,
+        making every task slower than on one thread (measured in
+        docs/BENCHMARKS.md).  Such batches run
+        inline on the caller's thread, in plan order; *n_threads* is still
+        validated and takes effect as soon as calls wait.
         """
         threads = self.n_threads if n_threads is None else n_threads
         if threads < 1:
@@ -328,7 +339,9 @@ class EstimationService:
         )
         from repro.parallel.engine import ExecutionEngine
 
-        engine = ExecutionEngine(n_workers=threads, executor="thread")
+        engine = ExecutionEngine(
+            n_workers=threads if self.api_latency > 0 else 1, executor="thread"
+        )
         tasks = [
             (ticket, mode, key)
             for ticket, mode, key, leader in plan

@@ -145,3 +145,51 @@ class TestOracles:
         cost = client.total_cost
         oracle.neighbors(matcher)
         assert client.total_cost == cost
+
+
+class _PartialOnceClient:
+    """Serves each user's first connections page cut in half and flagged
+    degraded, as ``ResilientClient`` serves a truncated transfer's partial
+    page once its retries are exhausted; later pages come back whole."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.meter = inner.meter
+        self.last_response_degraded = False
+        self._served = set()
+
+    def user_connections(self, user_id):
+        page = tuple(self.inner.user_connections(user_id))
+        self.last_response_degraded = user_id not in self._served
+        self._served.add(user_id)
+        return page[: len(page) // 2] if self.last_response_degraded else page
+
+    def user_timeline(self, user_id):
+        self.last_response_degraded = False
+        return self.inner.user_timeline(user_id)
+
+
+@pytest.mark.parametrize(
+    "make_oracle",
+    [
+        SocialGraphOracle,
+        TermInducedOracle,
+        lambda context: LevelByLevelOracle(context, LevelIndex(interval=DAY)),
+    ],
+    ids=["social", "term-induced", "level-by-level"],
+)
+def test_degraded_connections_page_is_not_memoised(tiny_platform, make_oracle):
+    client = CachingClient(_PartialOnceClient(SimulatedMicroblogClient(tiny_platform)))
+    oracle = make_oracle(QueryContext(client, count_users("privacy")))
+    matchers = tiny_platform.store.users_mentioning("privacy")
+    user = max(matchers, key=tiny_platform.graph.degree)
+
+    partial = oracle.neighbors(user)  # answers this step from the half page
+    assert client.uncacheable == 1
+    assert user not in getattr(oracle, "classified_nodes", lambda: ())()
+    whole = oracle.neighbors(user)  # looked at again: the whole page
+    assert set(partial) < set(whole)
+    cost = client.total_cost
+    assert oracle.neighbors(user) == whole  # memoised from now on
+    assert client.total_cost == cost
+    assert client.uncacheable == 1

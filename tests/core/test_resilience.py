@@ -208,3 +208,59 @@ def test_open_breaker_half_opens_within_a_walk(tiny_platform):
     assert result.cost_by_kind[TIMELINE] > 1
     assert result.cost_total <= 1_000
     assert result.value is not None
+
+
+# ----------------------------------------------------------------------
+# a degraded connections page is never memoised by the level oracle
+# ----------------------------------------------------------------------
+class _OracleKeepingAnalyzer(MicroblogAnalyzer):
+    """Keeps every oracle it builds, for inspection after the run."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.oracles = []
+
+    def _build_oracle(self, context, run_rng):
+        oracle = super()._build_oracle(context, run_rng)
+        self.oracles.append(oracle)
+        return oracle
+
+
+def test_degraded_connections_leave_no_one_sided_level_edge(tiny_platform):
+    """A partial connections page served after exhausted retries answers
+    its step, but the level oracle does not keep it: every classified
+    node's up/down lists agree with its classified partners' lists."""
+    policy = RetryPolicy(max_attempts=3, breaker_threshold=3, breaker_cooldown=60.0)
+    obs = Observability(trace_sink=RecordingSink())
+    analyzer = _OracleKeepingAnalyzer(
+        tiny_platform,
+        algorithm="ma-tarw",
+        seed=0,
+        fault_plan=FAULT_PROFILES["hostile"],
+        retry_policy=policy,
+        obs=obs,
+    )
+    result = analyzer.estimate(QUERY, budget=1_000)
+    assert result.value is not None
+    degraded = [
+        record
+        for record in obs.trace_records()
+        if record["name"] == "api.degraded" and record["api"] == "connections"
+    ]
+    assert degraded  # the run really was served a degraded page
+
+    oracle = analyzer.oracles[-1]
+    classified = set(oracle.classified_nodes())
+    assert classified
+    one_sided = [
+        (u, v)
+        for u in classified
+        for v in oracle.up_neighbors(u)
+        if v in classified and u not in oracle.down_neighbors(v)
+    ] + [
+        (u, v)
+        for u in classified
+        for v in oracle.down_neighbors(u)
+        if v in classified and u not in oracle.up_neighbors(v)
+    ]
+    assert one_sided == []

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+import pytest
+
 from repro.core.query import FOLLOWERS, MATCHING_POST_COUNT, avg_of, count_users, sum_of
 from repro.service import EstimationService, QueryOutcome, QueryRequest, TenantConfig
 
@@ -19,6 +21,22 @@ BUDGET = 4_000
 """One budget tier for the whole workload: the keyword→interval cache is
 keyed on (keyword, budget), so a shared tier is what lets overlapping
 queries share pilots — the realistic serving shape."""
+
+
+POOL_LATENCY = 1e-5
+"""Emulated seconds per API call at which the service fans a batch out to
+its worker threads; at zero latency every batch runs inline."""
+
+
+@pytest.fixture(scope="module")
+def api_latency() -> float:
+    """Emulated per-call API latency of the thread-count pins' services.
+
+    At 0 the service runs every batch inline, so those pins compare two
+    inline runs; ``test_service_pool`` overrides this fixture with
+    :data:`POOL_LATENCY` to run the same pins on a real thread pool.
+    """
+    return 0.0
 
 
 def service_tenants() -> List[TenantConfig]:

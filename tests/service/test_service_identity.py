@@ -3,7 +3,8 @@
 The acceptance bar: for the fixed workload (8 queries, 3 tenants), the
 estimates, per-tenant CostMeter columns and exported per-query trace
 bytes are identical at ``n_threads ∈ {1, 4}`` — and the service-level
-telemetry stream is too.
+telemetry stream is too.  The services take the ``api_latency`` fixture:
+0 here (batches run inline), a real thread pool in ``test_service_pool``.
 """
 
 from __future__ import annotations
@@ -19,15 +20,15 @@ pytestmark = pytest.mark.service
 
 
 @pytest.fixture(scope="module")
-def serial_run(tiny_platform):
-    service = make_service(tiny_platform)
+def serial_run(tiny_platform, api_latency):
+    service = make_service(tiny_platform, api_latency=api_latency)
     outcomes = service.run_workload(service_workload(), n_threads=1)
     return service, outcomes
 
 
 @pytest.fixture(scope="module")
-def threaded_run(tiny_platform):
-    service = make_service(tiny_platform)
+def threaded_run(tiny_platform, api_latency):
+    service = make_service(tiny_platform, api_latency=api_latency)
     outcomes = service.run_workload(service_workload(), n_threads=4)
     return service, outcomes
 
@@ -72,9 +73,9 @@ def test_reuse_counters_thread_count_invariant(serial_run, threaded_run):
 
 
 @pytest.mark.parametrize("threads", [2, 8])
-def test_other_thread_counts_match(tiny_platform, serial_run, threads):
+def test_other_thread_counts_match(tiny_platform, api_latency, serial_run, threads):
     _, serial = serial_run
-    service = make_service(tiny_platform)
+    service = make_service(tiny_platform, api_latency=api_latency)
     outcomes = service.run_workload(service_workload(), n_threads=threads)
     assert snapshot(outcomes) == snapshot(serial)
 
@@ -92,7 +93,7 @@ def test_warm_pass_bit_identical_with_cache_hits(serial_run):
     assert after["reuse_pilot_runs"] == before["reuse_pilot_runs"]  # no new pilots
 
 
-def test_service_telemetry_stream_deterministic(tiny_platform):
+def test_service_telemetry_stream_deterministic(tiny_platform, api_latency):
     """The service's own obs plane (admission + query events, per-tenant
     metrics, queue gauges) is emitted from serial phases only, so its
     exported bytes are thread-count-invariant too."""
@@ -100,7 +101,7 @@ def test_service_telemetry_stream_deterministic(tiny_platform):
     def run(threads):
         sink = RecordingSink()
         obs = Observability(trace_sink=sink, metrics=MetricsRegistry())
-        service = make_service(tiny_platform, obs=obs)
+        service = make_service(tiny_platform, obs=obs, api_latency=api_latency)
         service.run_workload(service_workload(), n_threads=threads)
         return "\n".join(trace_lines(sink.records)), metrics_json(obs.metrics)
 

@@ -4,7 +4,8 @@ For any generated workload the service must (a) come back at all — no
 deadlock between the reuse locks, result-cache lock and engine pool;
 (b) keep every tenant's reservations within its allowance; (c) keep
 per-tenant meters free of cross-contamination; and (d) answer the same
-whether it ran serially or on four threads.
+whether it ran serially or on four threads — run inline at zero API
+latency, and on a real thread pool at :data:`POOL_LATENCY`.
 
 Budgets are deliberately small (some queries legitimately fail with
 budget exhaustion) so the failure paths get interleaved too.
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from repro.core.query import FOLLOWERS, avg_of, count_users
 from repro.service import EstimationService, QueryRequest, TenantConfig
 
-from tests.service.conftest import snapshot
+from tests.service.conftest import POOL_LATENCY, snapshot
 
 pytestmark = [pytest.mark.service, pytest.mark.statistical]
 
@@ -61,10 +62,17 @@ def _requests(specs):
     ]
 
 
-def _drive(platform, specs, n_threads):
+stress_settings = settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def _drive(platform, specs, n_threads, api_latency):
     """One full service lifetime: submit (cancelling some queued ones),
     top up alpha mid-stream, execute, and return everything observable."""
-    service = EstimationService(platform, _tenants(), seed=29)
+    service = EstimationService(platform, _tenants(), seed=29, api_latency=api_latency)
     tickets = []
     for spec, request in zip(specs, _requests(specs)):
         ticket = service.submit(request)
@@ -78,16 +86,24 @@ def _drive(platform, specs, n_threads):
     return service, outcomes, bills
 
 
-@settings(
-    max_examples=10,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@stress_settings
 @given(specs=query_specs)
 def test_interleavings_safe_and_thread_invariant(tiny_platform, specs):
-    serial_service, serial, serial_bills = _drive(tiny_platform, specs, n_threads=1)
+    _check_interleavings(tiny_platform, specs, api_latency=0.0)
+
+
+@stress_settings
+@given(specs=query_specs)
+def test_interleavings_thread_invariant_on_a_pool(tiny_platform, specs):
+    _check_interleavings(tiny_platform, specs, api_latency=POOL_LATENCY)
+
+
+def _check_interleavings(platform, specs, api_latency):
+    serial_service, serial, serial_bills = _drive(
+        platform, specs, n_threads=1, api_latency=api_latency
+    )
     threaded_service, threaded, threaded_bills = _drive(
-        tiny_platform, specs, n_threads=4
+        platform, specs, n_threads=4, api_latency=api_latency
     )
 
     # (a) It returned — and every submission has a terminal-or-parked status.
