@@ -1,14 +1,15 @@
 """Walk hot-path benchmark: fast path + compiled kernel vs the layered path.
 
-A clean client stack runs in one of two configurations: the flattened
-fast path (:mod:`repro.api.fastpath`) with the compiled walk kernel
+A client stack runs in one of two configurations: the fast path
+(:mod:`repro.api.fastpath`) with the compiled walk kernel
 (:mod:`repro.core.kernels`) on top, or fully layered.  A context whose
 kernel does not resolve drops its fast path too, so switching the kernel
 off (``set_kernel_enabled(False)`` in process, ``REPRO_NO_KERNEL=1`` in
 a subprocess) selects the layered path.  This bench times that pair on
 identical inputs and asserts the two runs **bit-identical** in estimate,
-total cost and per-kind cost — the speedup must come purely from doing
-the same accounting with less interpreter work.
+total cost and per-kind cost (``retries`` included on a fault stack) —
+the speedup must come purely from doing the same accounting with less
+interpreter work.
 
 The full run:
 
@@ -30,6 +31,12 @@ The full run:
 * the guard counters from a metrics-attached kernel run:
   ``fastpath.resolved`` and ``kernel.resolved`` ≥ 1, zero
   ``fastpath.fallback{reason}`` / ``kernel.fallback{reason}``;
+* a ``hostile`` row: ``ma-tarw`` at the same shape behind
+  ``FAULT_PROFILES["hostile"]`` and the default resilient layer, where
+  the kernel reads row pages through the fault stack — interleaved
+  best-of-``TIMING_REPEATS`` layered vs kernel, asserted bit-identical
+  with the ``retries`` column, phases and guard counters as above
+  (reported, not gated);
 * one 10M-row mmap cell (reusing ``bench_scale.py --cell`` in fresh
   subprocesses) asserted bit-identical across the switch; **gate**:
   kernel walk throughput ≥ ``MMAP_GATE_RATIO`` × the pre-kernel
@@ -39,8 +46,10 @@ The table lands in ``benchmarks/results/walk_hotpath.txt`` and the
 summary in ``BENCH_walk_hotpath.json`` at the repo root.
 
 ``--quick`` is the CI smoke mode: a small platform, one layered-vs-kernel
-identity check per algorithm plus the guard counters, no timing gates
-(CI wall-clock is noise).
+identity check per algorithm and stack (clean and ``hostile``) plus the
+guard counters, no timing gates (CI wall-clock is noise).  On the
+hostile stack too the kernel must resolve with zero fallbacks, so a
+silent fall back to the layered path fails CI.
 """
 
 import argparse
@@ -52,6 +61,8 @@ import subprocess
 import sys
 import time
 
+from repro.api.accounting import RETRIES
+from repro.api.faults import FAULT_PROFILES
 from repro.bench import bench_platform, emit, format_table, run_estimator
 from repro.bench.profiling import profiled
 from repro.core.kernels import set_kernel_enabled
@@ -88,15 +99,21 @@ PHASE_FUNCS = {
 }
 GUARDS = ("fastpath", "kernel")
 """Resolvers whose ``<name>.resolved`` / ``<name>.fallback`` counters
-guard the clean bench stack."""
+guard the bench stacks."""
+STACKS = (("clean", None), ("hostile", FAULT_PROFILES["hostile"]))
+"""(label, fault plan) of the client stacks the bench runs: the bare
+simulator, and the hostile profile behind the default resilient layer."""
+HOSTILE_ALGORITHM = "ma-tarw"
+"""The walker of the full run's hostile row."""
 
 
-def _run(platform, query, algorithm, kernel, budget=BUDGET, obs=None):
+def _run(platform, query, algorithm, kernel, budget=BUDGET, obs=None, fault_plan=None):
     """One estimate run, kernel on (fast path + kernel) or off (layered)."""
     previous = set_kernel_enabled(kernel)
     try:
         return run_estimator(
-            platform, query, algorithm, budget=budget, seed=SEED, obs=obs
+            platform, query, algorithm, budget=budget, seed=SEED, obs=obs,
+            fault_plan=fault_plan,
         )
     finally:
         set_kernel_enabled(previous)
@@ -110,11 +127,15 @@ def _identical(a, b):
     )
 
 
-def _guards(platform, query, algorithm, budget, failures):
+def _guards(platform, query, algorithm, budget, failures, fault_plan=None, name=None):
     """Resolved counters of a metrics-attached kernel run; records a
     failure for a resolver that never resolved or fell back."""
+    name = name or algorithm
     metrics = MetricsRegistry()
-    _run(platform, query, algorithm, True, budget, obs=Observability(metrics=metrics))
+    _run(
+        platform, query, algorithm, True, budget, obs=Observability(metrics=metrics),
+        fault_plan=fault_plan,
+    )
     counters = metrics.snapshot()["counters"]
     resolved = {}
     for guard in GUARDS:
@@ -123,13 +144,13 @@ def _guards(platform, query, algorithm, budget, failures):
             k: v for k, v in counters.items() if k.startswith(f"{guard}.fallback")
         }
         if resolved[guard] < 1:
-            failures.append(f"{algorithm}: {guard} never resolved (guard counter 0)")
+            failures.append(f"{name}: {guard} never resolved (guard counter 0)")
         if fallbacks:
-            failures.append(f"{algorithm}: {guard} fell back to the layered path: {fallbacks}")
+            failures.append(f"{name}: {guard} fell back to the layered path: {fallbacks}")
     return resolved
 
 
-def _phase_breakdown(platform, query, algorithm, kernel, label):
+def _phase_breakdown(platform, query, algorithm, kernel, label, fault_plan=None):
     """Profile one run, dump its .pstats, and split time into phases."""
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     dump = RESULTS_DIR / f"walk_hotpath_{algorithm.replace('-', '_')}_{label}.pstats"
@@ -137,7 +158,10 @@ def _phase_breakdown(platform, query, algorithm, kernel, label):
     previous = set_kernel_enabled(kernel)
     try:
         with profiled(str(dump)) as profiler:
-            run_estimator(platform, query, algorithm, budget=BUDGET, seed=SEED)
+            run_estimator(
+                platform, query, algorithm, budget=BUDGET, seed=SEED,
+                fault_plan=fault_plan,
+            )
     finally:
         set_kernel_enabled(previous)
     stats = pstats.Stats(profiler)
@@ -250,6 +274,82 @@ def _report(failures, ok):
     return 0
 
 
+def _timed_pair(platform, query, algorithm, failures, fault_plan=None, name=None):
+    """Interleaved best-of-N layered/kernel wall seconds and the last
+    pair of results; records a failure when a pair is not bit-identical."""
+    name = name or algorithm
+    best = {label: float("inf") for label, _ in CONFIGURATIONS}
+    results = {}
+    # Interleaved best-of-N: layered/kernel pairs alternate so drift in
+    # the shared machine hits both sides equally.
+    for _ in range(TIMING_REPEATS):
+        for label, kernel in CONFIGURATIONS:
+            platform.store.drop_caches()
+            start = time.perf_counter()
+            results[label] = _run(platform, query, algorithm, kernel, fault_plan=fault_plan)
+            best[label] = min(best[label], time.perf_counter() - start)
+        if not _identical(results["layered"], results["kernel"]):
+            failures.append(
+                f"{name}: kernel run not bit-identical (layered "
+                f"{results['layered'].value!r}/{results['layered'].cost_by_kind}, "
+                f"kernel {results['kernel'].value!r}/{results['kernel'].cost_by_kind})"
+            )
+            break
+    return best, results
+
+
+def _measure(platform, query, algorithm, failures, rows, stack="clean", fault_plan=None):
+    """Time, identity-check, guard and profile one (algorithm, stack)
+    cell; appends its table rows and returns its JSON entry."""
+    name = algorithm if fault_plan is None else f"{algorithm} {stack}"
+    best, results = _timed_pair(platform, query, algorithm, failures, fault_plan, name)
+    result = results["layered"]
+    if fault_plan is not None and result.cost_by_kind.get(RETRIES, 0) == 0:
+        failures.append(f"{name}: the fault profile caused no retries")
+    resolved = _guards(platform, query, algorithm, BUDGET, failures, fault_plan, name)
+    speedup = best["layered"] / best["kernel"]
+    gated = fault_plan is None and algorithm == "ma-tarw"
+    if gated and speedup < KERNEL_SPEEDUP_FLOOR:
+        failures.append(
+            f"{name}: kernel speedup {speedup:.2f}x under the "
+            f"{KERNEL_SPEEDUP_FLOOR}x floor"
+        )
+    configurations = {}
+    for label, kernel in CONFIGURATIONS:
+        dump_label = label if fault_plan is None else f"{stack}_{label}"
+        phases, dump = _phase_breakdown(
+            platform, query, algorithm, kernel, dump_label, fault_plan
+        )
+        configurations[label] = {
+            "wall_seconds": round(best[label], 4),
+            "phases_seconds": {k: round(v, 4) for k, v in phases.items()},
+            "pstats": str(dump.relative_to(REPO_ROOT)),
+        }
+        rows.append([
+            name, label, best[label], phases["profiled_total"],
+            phases["classify"], phases.get("dp", 0.0), phases["step"],
+            "" if kernel else f"{speedup:.2f}x", result.value, result.cost_total,
+        ])
+    print(f"{name}: {speedup:.2f}x kernel speedup, bit-identical")
+    entry = {
+        "value": result.value,
+        "cost_total": result.cost_total,
+        "bit_identical": _identical(results["layered"], results["kernel"]),
+        "speedup": round(speedup, 2),
+        "gated": gated,
+        "resolved": resolved,
+        "configurations": configurations,
+    }
+    if fault_plan is not None:
+        entry = {
+            "algorithm": algorithm,
+            "fault_profile": stack,
+            "cost_by_kind": result.cost_by_kind,
+            **entry,
+        }
+    return entry
+
+
 def run_full():
     platform = bench_platform(NUM_USERS)
     query = count_users("privacy")
@@ -264,60 +364,17 @@ def run_full():
         "algorithms": {},
     }
     for algorithm in ALGORITHMS:
-        best = {label: float("inf") for label, _ in CONFIGURATIONS}
-        results = {}
-        # Interleaved best-of-N: layered/kernel pairs alternate so drift
-        # in the shared machine hits both sides equally.
-        for _ in range(TIMING_REPEATS):
-            for label, kernel in CONFIGURATIONS:
-                platform.store.drop_caches()
-                start = time.perf_counter()
-                results[label] = _run(platform, query, algorithm, kernel)
-                best[label] = min(best[label], time.perf_counter() - start)
-            if not _identical(results["layered"], results["kernel"]):
-                failures.append(
-                    f"{algorithm}: kernel run not bit-identical (layered "
-                    f"{results['layered'].value!r}/{results['layered'].cost_by_kind}, "
-                    f"kernel {results['kernel'].value!r}/{results['kernel'].cost_by_kind})"
-                )
-                break
-        resolved = _guards(platform, query, algorithm, BUDGET, failures)
-        speedup = best["layered"] / best["kernel"]
-        gated = algorithm == "ma-tarw"
-        if gated and speedup < KERNEL_SPEEDUP_FLOOR:
-            failures.append(
-                f"{algorithm}: kernel speedup {speedup:.2f}x under the "
-                f"{KERNEL_SPEEDUP_FLOOR}x floor"
-            )
-        result = results["layered"]
-        configurations = {}
-        for label, kernel in CONFIGURATIONS:
-            phases, dump = _phase_breakdown(platform, query, algorithm, kernel, label)
-            configurations[label] = {
-                "wall_seconds": round(best[label], 4),
-                "phases_seconds": {k: round(v, 4) for k, v in phases.items()},
-                "pstats": str(dump.relative_to(REPO_ROOT)),
-            }
-            rows.append([
-                algorithm, label, best[label], phases["profiled_total"],
-                phases["classify"], phases.get("dp", 0.0), phases["step"],
-                "" if kernel else f"{speedup:.2f}x", result.value, result.cost_total,
-            ])
-        payload["algorithms"][algorithm] = {
-            "value": result.value,
-            "cost_total": result.cost_total,
-            "bit_identical": True,
-            "speedup": round(speedup, 2),
-            "gated": gated,
-            "resolved": resolved,
-            "configurations": configurations,
-        }
-        print(f"{algorithm}: {speedup:.2f}x kernel speedup, bit-identical")
-
+        payload["algorithms"][algorithm] = _measure(
+            platform, query, algorithm, failures, rows
+        )
+    payload["hostile"] = _measure(
+        platform, query, HOSTILE_ALGORITHM, failures, rows, *STACKS[1]
+    )
     payload["mmap_10m"] = _mmap_cell(failures)
     table = format_table(
         "Walk hot path: fully layered vs fast path + compiled kernel "
-        f"({NUM_USERS:,} users, budget {BUDGET:,}, seed {SEED}; wall is "
+        f"({NUM_USERS:,} users, budget {BUDGET:,}, seed {SEED}; the hostile "
+        "row runs behind FAULT_PROFILES['hostile']; wall is "
         f"interleaved best-of-{TIMING_REPEATS}, unprofiled and cold-store; "
         "phase columns are from a separate cProfile run and sum to "
         "'profiled s')",
@@ -332,24 +389,30 @@ def run_full():
 
 
 def run_quick():
-    """CI smoke: layered-vs-kernel identity + the guard counters."""
+    """CI smoke: layered-vs-kernel identity + the guard counters, on the
+    clean and the hostile stack."""
     platform = bench_platform(QUICK_NUM_USERS)
     query = count_users("privacy")
     failures = []
     for algorithm in ALGORITHMS:
-        layered = _run(platform, query, algorithm, False, QUICK_BUDGET)
-        kernel = _run(platform, query, algorithm, True, QUICK_BUDGET)
-        if not _identical(layered, kernel):
-            failures.append(
-                f"{algorithm}: kernel run not bit-identical "
-                f"(layered {layered.value!r}, kernel {kernel.value!r})"
-            )
-        resolved = _guards(platform, query, algorithm, QUICK_BUDGET, failures)
-        print(
-            f"{algorithm}: identical={_identical(layered, kernel)} resolved={resolved}"
-        )
+        for stack, plan in STACKS:
+            name = f"{algorithm} {stack}"
+            layered = _run(platform, query, algorithm, False, QUICK_BUDGET, fault_plan=plan)
+            kernel = _run(platform, query, algorithm, True, QUICK_BUDGET, fault_plan=plan)
+            if not _identical(layered, kernel):
+                failures.append(
+                    f"{name}: kernel run not bit-identical "
+                    f"(layered {layered.value!r}/{layered.cost_by_kind}, "
+                    f"kernel {kernel.value!r}/{kernel.cost_by_kind})"
+                )
+            if plan is not None and layered.cost_by_kind.get(RETRIES, 0) == 0:
+                failures.append(f"{name}: the fault profile caused no retries")
+            resolved = _guards(platform, query, algorithm, QUICK_BUDGET, failures, plan, name)
+            print(f"{name}: identical={_identical(layered, kernel)} resolved={resolved}")
     return _report(
-        failures, "hot-path smoke OK: fast path and kernel resolved, no fallbacks, bit-identical"
+        failures,
+        "hot-path smoke OK: fast path and kernel resolved on the clean and "
+        "hostile stacks, no fallbacks, bit-identical",
     )
 
 

@@ -6,7 +6,9 @@ authoritative store while enforcing the platform profile's restrictions:
 * SEARCH sees only posts newer than ``now - search_window`` (Twitter's
   one-week search horizon, §2) and pays one call per result page;
 * USER TIMELINE returns only the most recent ``timeline_cap`` posts and
-  pays one call per ``timeline_page_size`` posts;
+  pays one call per ``timeline_page_size`` posts; over a frozen columnar
+  store the page is a :class:`~repro.api.interface.RowTimelineView` (the
+  capped window of the user's column rows, materialised only if read);
 * USER CONNECTIONS pays one call per ``connections_page_size`` neighbors;
 * every call passes through the rate limiter and the cost meter.
 
@@ -17,6 +19,7 @@ memoise responses.  Estimators always run behind a caching client.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -27,6 +30,7 @@ from repro.api.interface import (
     ConnectionsPage,
     MicroblogAPI,
     ProfileView,
+    RowTimelineView,
     SearchHit,
     TimelineView,
 )
@@ -36,6 +40,7 @@ from repro.api.resilient import ResilientClient
 from repro.errors import APIError
 from repro.obs import NULL_OBS, Observability
 from repro.platform.clock import SimulatedClock
+from repro.platform.frozen import FrozenStore
 from repro.platform.simulator import SimulatedPlatform
 
 
@@ -140,24 +145,35 @@ class SimulatedMicroblogClient(MicroblogAPI):
         return neighbors
 
     def _timeline_posts(self, user_id: int):
+        """``(posts, truncated)``: the capped timeline, oldest first —
+        column rows over a frozen store, ``Post`` objects otherwise."""
         store = self.platform.store
         if not store.has_user(user_id):
             raise APIError(f"unknown user {user_id}")
-        posts = store.timeline(user_id)  # oldest first
+        if isinstance(store, FrozenStore):
+            posts = store.timeline_rows(user_id)
+        else:
+            posts = store.timeline(user_id)  # oldest first
         cap = self.platform.profile.timeline_cap
         truncated = cap is not None and len(posts) > cap
         if truncated:
             posts = posts[-cap:]  # most recent `cap` posts survive
         return posts, truncated
 
+    def _page(self, user_id: int, posts, truncated: bool) -> TimelineView:
+        """The served page for :meth:`_timeline_posts`' answer (a row
+        page builds its profile header when first read)."""
+        store = self.platform.store
+        if isinstance(store, FrozenStore):
+            profile = functools.partial(self._profile_view, user_id)
+            return RowTimelineView(profile, store, posts, truncated)
+        profile = self._profile_view(user_id)
+        return TimelineView(profile=profile, posts=tuple(posts), truncated=truncated)
+
     def user_timeline(self, user_id: int) -> TimelineView:
         posts, truncated = self._timeline_posts(user_id)
         self._charge(accounting.TIMELINE, self._timeline_calls(len(posts)))
-        return TimelineView(
-            profile=self._profile_view(user_id),
-            posts=tuple(posts),
-            truncated=truncated,
-        )
+        return self._page(user_id, posts, truncated)
 
     # ------------------------------------------------------------------
     # pricing: one function per request kind, shared by the charge and
@@ -241,14 +257,10 @@ class SimulatedMicroblogClient(MicroblogAPI):
 
         Fast-path support (see :mod:`repro.api.fastpath`): when a
         timeline was prepaid via :meth:`charge_timeline`, the caching
-        client materialises the identical view through this method.
+        client builds the identical view through this method.
         """
         posts, truncated = self._timeline_posts(user_id)
-        return TimelineView(
-            profile=self._profile_view(user_id),
-            posts=tuple(posts),
-            truncated=truncated,
-        )
+        return self._page(user_id, posts, truncated)
 
     def charge_timeline(self, user_id: int, calls: int) -> None:
         """Charge a timeline fetch without serving it (fast-path prepay).
@@ -320,11 +332,19 @@ class CachingClient(MicroblogAPI):
         below = inner.inner if self._retrying else inner
         if self._retrying and isinstance(below, FaultInjectingClient):
             below = below.inner
-        self.replays_failures = isinstance(below, SimulatedMicroblogClient)
+        self.simulator: Optional[SimulatedMicroblogClient] = (
+            below if isinstance(below, SimulatedMicroblogClient) else None
+        )
+        """The simulator at the bottom of a recognised stack — the bare
+        simulator, or a :class:`ResilientClient` over it, with or without
+        a :class:`FaultInjectingClient` between — else None.  These are
+        the stacks the walk kernel resolves on (:mod:`repro.api.fastpath`)."""
+        self.faultless = self.simulator is not None and not self._retrying
+        """True when the recognised stack is the bare simulator: no layer
+        beneath can raise :class:`~repro.errors.TransientAPIError`."""
+        self.replays_failures = self.simulator is not None
         """True when the stack beneath is one whose budget refusals are
-        pure (see :meth:`failure_key`): the bare simulator, or a
-        :class:`ResilientClient` over it, with or without a
-        :class:`FaultInjectingClient` between."""
+        pure (see :meth:`failure_key`): the recognised stacks above."""
         self._meter: Optional[CostMeter] = getattr(inner, "meter", None)
 
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Flattened client fast path: the clean stack's binding for the walk kernel.
+"""Flattened client fast path: the client stack's binding for the walk kernel.
 
 A clean estimation stack is always the same four layers::
 
@@ -12,35 +12,47 @@ timeline materialisation (thousands of
 timestamp out of it.
 
 :func:`resolve_fast_path` inspects a client stack once per query and,
-when every layer is the plain clean-path object (caching client directly
-over the simulator, frozen columnar store, no fault or resilient layers),
-returns a :class:`FastPathOps` binding the stack's pieces — the caching
-client, the simulator, the store, the keyword's first-mention columns
-and the profile's page/cap constants.  The compiled walk kernel
-(:mod:`repro.core.kernels`) builds on that binding and is the only
-reader of first mentions from the columns; the binding itself serves
-connections as the CSR adjacency tuple with a single lock acquisition
-instead of three delegation hops.
+when the stack is one the caching client recognises
+(:attr:`CachingClient.simulator <repro.api.client.CachingClient.simulator>`)
+over a frozen columnar store, returns a :class:`FastPathOps` binding the
+stack's pieces — the caching client, the simulator, the store, the
+keyword's first-mention columns and the profile's page/cap constants.
+The recognised stacks are the bare simulator and a resilient layer over
+it, with or without a fault-injection layer between::
+
+    CachingClient -> SimulatedMicroblogClient
+    CachingClient -> ResilientClient -> SimulatedMicroblogClient
+    CachingClient -> ResilientClient -> FaultInjectingClient -> SimulatedMicroblogClient
+
+The compiled walk kernel (:mod:`repro.core.kernels`) builds on that
+binding.  On the bare stack (``faultless``) it is the only reader of
+first mentions from the columns and the binding serves connections as
+the CSR adjacency tuple with a single lock acquisition instead of three
+delegation hops.  On a faulted stack every request still travels the
+whole stack — admission, fault dice, retries, healing and degraded
+serves happen exactly as on the layered path — and what the kernel
+saves is the page shape: timeline pages arrive as column row ranges
+(:class:`~repro.api.interface.RowTimelineView`) and are read through the
+columns.
 
 A :class:`~repro.core.graph_builder.QueryContext` keeps the binding only
-when the kernel resolves over it, so a context is either fully on the
-clean-stack path (fast path + kernel) or fully layered.  Accounting is
-*identical* to the layered path by construction: each logical fetch
-still performs the same ``CostMeter`` charge (same kind, same call
-count, same order), the same rate-limiter acquisition, the same
-``api.call`` trace event and cache hit/miss counters.  The cache is kept
-honest through *prepaid* timelines
-(:meth:`CachingClient.prepay_timeline`): the clean-stack path pays for
-the timeline now, and if a later operation (a condition check) needs the
-materialised view, the caching client builds it uncharged.
+when the kernel resolves over it, so a context is either on the kernel
+path (fast path + kernel) or fully layered.  Accounting is *identical*
+to the layered path by construction: each logical fetch still performs
+the same ``CostMeter`` charge (same kind, same call count, same order),
+the same rate-limiter acquisition, the same ``api.call`` trace event and
+cache hit/miss counters.  On the bare stack the cache is kept honest
+through *prepaid* timelines (:meth:`CachingClient.prepay_timeline`): the
+kernel pays for the timeline now, and if a later operation (a condition
+check) needs the view, the caching client builds it uncharged.
 
 The layered path is taken whenever any resolution rule fails:
 
-* a fault-injection or resilient layer sits in the stack (chaos runs
-  must exercise the layered clients they are testing);
-* the store is not a :class:`FrozenStore` (legacy mutable planes);
-* the client is not a :class:`CachingClient` over a
-  :class:`SimulatedMicroblogClient`.
+* the client is not a :class:`CachingClient` (``no-cache``);
+* the stack under the cache is not one of the three above — say a
+  resilient layer over some other client (``layered-stack``);
+* the store is not a :class:`FrozenStore` (legacy mutable planes,
+  ``legacy-store``).
 
 ``set_fast_path_enabled(False)`` disables resolution process-wide; the
 hot-path bench uses it to time the before/after pair on identical
@@ -80,7 +92,7 @@ def fast_path_enabled() -> bool:
 
 
 class FastPathOps:
-    """The resolved pieces of a clean client stack.
+    """The resolved pieces of a recognised client stack (bare or faulted).
 
     One instance is scoped to one ``(client, keyword)`` pair — exactly
     the scope of a :class:`~repro.core.graph_builder.QueryContext` — so
@@ -100,6 +112,7 @@ class FastPathOps:
         "timeline_cap",
         "timeline_page",
         "calls_for_items",
+        "faultless",
     )
 
     def __init__(
@@ -118,11 +131,20 @@ class FastPathOps:
         self.timeline_cap = profile.timeline_cap
         self.timeline_page = profile.timeline_page_size
         self.calls_for_items = profile.calls_for_items
+        self.faultless = cache.faultless
+        """True on the bare stack: nothing beneath the cache can raise
+        :class:`~repro.errors.TransientAPIError`, and the binding may
+        charge the simulator directly."""
 
     def connections(self, user_id: int) -> Tuple[int, ...]:
-        """Flattened connections fetch: one lock acquisition, no
-        delegation hops; identical cache counters and charges."""
-        return self.cache.connections_via(user_id, self.sim)
+        """Connections fetch.  On the bare stack it is flattened — one
+        lock acquisition, no delegation hops — with identical cache
+        counters and charges; on a faulted stack it is the caching
+        client's ordinary request through the fault and resilient
+        layers."""
+        if self.faultless:
+            return self.cache.connections_via(user_id, self.sim)
+        return self.cache.user_connections(user_id)
 
 
 def resolve_fast_path(
@@ -150,10 +172,8 @@ def resolve_fast_path(
     if not isinstance(client, CachingClient):
         fallback("no-cache")
         return None
-    inner = client.inner
-    if not isinstance(inner, SimulatedMicroblogClient):
-        # Fault-injection / resilient layers (or a non-simulated client):
-        # chaos runs must exercise the layered clients they are testing.
+    inner = client.simulator
+    if inner is None:
         fallback("layered-stack")
         return None
     store = inner.platform.store

@@ -55,6 +55,13 @@ Fault kinds, in draw order:
     The request *succeeds* but the page contains duplicated entries
     (retransmitted rows) — corruption a resilient caller must detect
     and heal by deduplication.
+
+Pages keep the shape the inner client served.  A timeline page held as
+column rows (:class:`~repro.api.interface.RowTimelineView`, the
+simulator over a frozen store) is truncated to the first half of its row
+range and corrupted by repeating its middle row index — the positions
+:func:`_duplicate_sequence` uses for ``Post`` tuples and id sequences —
+so no ``Post`` is materialised on the way.
 """
 
 from __future__ import annotations
@@ -64,7 +71,9 @@ import random
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.api.interface import MicroblogAPI, SearchHit, TimelineView
+import numpy as np
+
+from repro.api.interface import MicroblogAPI, RowTimelineView, SearchHit, TimelineView
 from repro.errors import (
     APITimeoutError,
     ReproError,
@@ -271,14 +280,19 @@ class FaultInjectingClient(MicroblogAPI):
     def _truncate(response):
         """The delivered prefix of a cut-short transfer."""
         if isinstance(response, TimelineView):
-            cut = len(response.posts) // 2
-            return replace(response, posts=response.posts[:cut], truncated=True)
+            return response.head(response.post_count // 2)
         cut = len(response) // 2
         return tuple(response[:cut])
 
     @staticmethod
     def _corrupt(response):
         """A successful page with one retransmitted row."""
+        if isinstance(response, RowTimelineView):
+            rows = response.rows
+            if rows.shape[0] == 0:
+                return response
+            mid = rows.shape[0] // 2
+            return response.with_rows(np.insert(rows, mid, rows[mid]))
         if isinstance(response, TimelineView):
             return replace(response, posts=_duplicate_sequence(response.posts))
         return _duplicate_sequence(response)

@@ -5,21 +5,28 @@ hides fields the platform does not expose (Twitter hides gender, §6.2); a
 :class:`TimelineView` contains at most the platform's timeline cap of the
 user's most recent posts (Twitter: 3 200, §2).
 
-One deliberate exception to "estimators see only these shapes": when a
-query context recognises a clean simulated stack it may answer
-first-mention lookups straight from the store's columns *without*
-building the :class:`TimelineView` — see :mod:`repro.api.fastpath`.
-That shortcut is an implementation detail of the simulator, charged and
-traced identically to a real ``user_timeline`` call; any client that
-actually implements :class:`MicroblogAPI` (a live platform, a fault
-wrapper) always goes through these types.
+A timeline comes in two shapes with one interface.  A live platform (or
+the mutable legacy store) returns a :class:`TimelineView` holding
+:class:`~repro.platform.posts.Post` objects.  The simulator over a frozen
+columnar store returns a :class:`RowTimelineView`: the page is the
+capped window of the user's column rows, its first mention and mentions
+are read from the columns, and the ``Post`` objects materialise only
+when a caller reads ``posts``.  The fault and resilient layers truncate,
+corrupt and heal either shape (:mod:`repro.api.faults`,
+:mod:`repro.api.resilient`).
+
+One further shortcut: on a clean simulated stack a query context may
+answer first-mention lookups from the store's columns without asking for
+the page at all — see :mod:`repro.api.fastpath`.  It is an
+implementation detail of the simulator, charged and traced identically
+to a real ``user_timeline`` call.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.platform.posts import Post
 from repro.platform.users import Gender
@@ -45,18 +52,43 @@ class ProfileView:
     age: Optional[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimelineView:
     """A user's retrievable timeline (most recent ``cap`` posts) + profile.
 
     ``truncated`` is True when the platform's cap hid older posts — the
     source of the small first-mention error the paper argues is negligible
-    (§2, "only a very small fraction of extremely prolific users").
+    (§2, "only a very small fraction of extremely prolific users") — or
+    when a cut-short transfer delivered only a prefix of the page.
+
+    Two views are equal when profile, posts and flag are, whatever their
+    shape (a :class:`RowTimelineView` equals the ``Post``-tuple view of
+    the same posts).
     """
 
     profile: ProfileView
     posts: Tuple[Post, ...]
     truncated: bool
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TimelineView):
+            return NotImplemented
+        return (self.profile, self.truncated, self.posts) == (
+            other.profile, other.truncated, other.posts
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.profile, self.truncated, self.posts))
+
+    @property
+    def post_count(self) -> int:
+        """Posts on the page (what the timeline fetch is priced by)."""
+        return len(self.posts)
+
+    def head(self, stop: int) -> "TimelineView":
+        """The oldest *stop* posts, flagged ``truncated``: the delivered
+        part of a cut-short transfer, or a probe's window."""
+        return TimelineView(profile=self.profile, posts=self.posts[:stop], truncated=True)
 
     def mentions(self, keyword: str, start: float = float("-inf"), end: float = float("inf")) -> List[Post]:
         """Posts in the view that mention *keyword* inside ``[start, end)``."""
@@ -70,6 +102,69 @@ class TimelineView:
             if needle in post.keywords:
                 return post.timestamp
         return None
+
+
+class RowTimelineView(TimelineView):
+    """A :class:`TimelineView` held as rows of a frozen store's columns.
+
+    ``rows`` indexes the store's post columns, oldest first — for a clean
+    page the capped window ``timeline_rows(u)[-cap:]``; the fault layer
+    serves a prefix of it or repeats a row index, and the resilient layer
+    dedupes on it.  :meth:`first_mention_time` and :meth:`mentions` read
+    the keyword and time columns over the rows; ``posts`` materialises
+    the ``Post`` tuple on first read and keeps it on the page (never in
+    the store's timeline cache).  Answers equal those of the
+    ``Post``-tuple view of the same rows.  Treat ``rows`` as immutable.
+
+    *profile* is the page's :class:`ProfileView`, or a zero-argument
+    callable that builds it on first read (most pages are read for a
+    first mention only).
+    """
+
+    def __init__(self, profile: Any, store: Any, rows: Any, truncated: bool) -> None:
+        # Frozen-dataclass fields: write the instance dict directly, as
+        # object.__setattr__ would, at a fraction of the cost.
+        fields = self.__dict__
+        fields["_profile"] = profile
+        fields["truncated"] = truncated
+        fields["store"] = store
+        fields["rows"] = rows
+        fields["_posts"] = None
+
+    @property
+    def profile(self) -> ProfileView:  # type: ignore[override]
+        profile = self._profile
+        if not isinstance(profile, ProfileView):
+            profile = self.__dict__["_profile"] = profile()
+        return profile
+
+    @property
+    def posts(self) -> Tuple[Post, ...]:  # type: ignore[override]
+        posts = self._posts
+        if posts is None:
+            posts = self.store.materialize_rows(self.rows) if self.rows.shape[0] else ()
+            self.__dict__["_posts"] = posts
+        return posts
+
+    @property
+    def post_count(self) -> int:
+        return int(self.rows.shape[0])
+
+    def with_rows(self, rows: Any, truncated: Optional[bool] = None) -> "RowTimelineView":
+        """The same page over other *rows* (same profile; same flag
+        unless *truncated* is given)."""
+        return RowTimelineView(
+            self._profile, self.store, rows, self.truncated if truncated is None else truncated
+        )
+
+    def head(self, stop: int) -> "RowTimelineView":
+        return self.with_rows(self.rows[:stop], truncated=True)
+
+    def mentions(self, keyword: str, start: float = float("-inf"), end: float = float("inf")) -> List[Post]:
+        return list(self.store.mentions_in_rows(self.rows, keyword, start, end))
+
+    def first_mention_time(self, keyword: str) -> Optional[float]:
+        return self.store.first_mention_in_rows(self.rows, keyword)
 
 
 @dataclass(frozen=True)

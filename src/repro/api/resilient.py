@@ -31,11 +31,14 @@ transient-fault family (:class:`TransientAPIError` and subclasses):
   (the poisoned-cache scenario).  Only when no fallback exists does the
   error propagate to walk-level recovery in the estimators.
 * **Duplicate healing.**  Every response is checked for duplicates with
-  one set of ids (connections: neighbour ids; timelines: post ids; search
-  pages: ``(user_id, post_id)``); only a page that has one is rebuilt
-  (connections: sorted-unique; timelines and search pages: stable-unique).
-  A clean response comes back as is, so a healed faulty run returns
-  bit-identical data to a fault-free one.
+  one set of ids (connections: neighbour ids; timelines: post ids, or the
+  column rows of a :class:`~repro.api.interface.RowTimelineView` — one
+  row per post; search pages: ``(user_id, post_id)``); only a page that
+  has one is rebuilt (connections: sorted-unique; timelines and search
+  pages: stable-unique, a row page on its rows).  A clean response comes
+  back as is, so a healed faulty run returns bit-identical data to a
+  fault-free one; a row page stays a row page, so healing materialises
+  no ``Post``.
 """
 
 from __future__ import annotations
@@ -44,9 +47,11 @@ from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Dict, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.api import accounting
 from repro.api.faults import seeded_uniform
-from repro.api.interface import MicroblogAPI, SearchHit, TimelineView
+from repro.api.interface import MicroblogAPI, RowTimelineView, SearchHit, TimelineView
 from repro.errors import (
     BudgetExhaustedError,
     CircuitOpenError,
@@ -110,6 +115,16 @@ class RetryPolicy:
 
 _post_id = attrgetter("post_id")
 _hit_marker = attrgetter("user_id", "post_id")
+
+
+def _rows_unique(rows: np.ndarray) -> bool:
+    """True when no column row repeats.  A set for short pages; a sort
+    and neighbour compare for long ones, where it is several times
+    cheaper."""
+    if rows.shape[0] <= 64:
+        return len(set(rows.tolist())) == rows.shape[0]
+    ordered = np.sort(rows)
+    return not (ordered[1:] == ordered[:-1]).any()
 
 
 def _dedupe(items: Sequence, marker) -> Tuple:
@@ -281,6 +296,12 @@ class ResilientClient(MicroblogAPI):
                 return tuple(response)
             return tuple(sorted(unique))
         if kind == "timeline":
+            if isinstance(response, RowTimelineView):
+                rows = response.rows
+                if _rows_unique(rows):
+                    return response
+                _, first = np.unique(rows, return_index=True)
+                return response.with_rows(rows[np.sort(first)])
             posts = response.posts
             if len(set(map(_post_id, posts))) == len(posts):
                 return response

@@ -144,11 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="workload JSON: tenant grants (budgets, rate limits, "
                             "admission policy) plus the queries to run — see "
                             "repro.service.workload for the format")
-    serve.add_argument("--threads", type=int, default=4,
-                       help="how many API waits may overlap (default 4; "
-                            "threads overlap API latency only, so zero-latency "
-                            "batches, like the simulated platform's, run "
-                            "inline; outcomes are bit-identical at every width)")
     serve.add_argument("--algorithm", default="ma-tarw", choices=ALGORITHMS,
                        help="estimation walker every query runs (default ma-tarw)")
     serve.add_argument("--graph-design", default="level-by-level",
@@ -460,7 +455,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         graph_design=args.graph_design,
         interval=interval,
         seed=args.service_seed,
-        n_threads=args.threads,
         fault_plan=fault_plan,
         obs=obs if obs is not None else None,
     )

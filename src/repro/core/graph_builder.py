@@ -51,12 +51,14 @@ class QueryContext:
     At construction the client stack is resolved once against the fast-
     path rules (see :mod:`repro.api.fastpath`) and then the walk kernel's
     (see :mod:`repro.core.kernels`).  A context runs in one of two
-    configurations: a clean caching stack over a frozen store gets both
-    — batched first-mention resolution from the store's columns,
-    columnar condition views and single-lock connection serving — with
+    configurations.  A caching stack over a frozen store — bare, or with
+    the resilient and fault layers beneath the cache — gets both:
+    batched first-mention resolution read from the store's columns
+    (through the whole stack when it is faulted), columnar condition
+    views and, on the bare stack, single-lock connection serving, with
     charges, counters and trace bytes identical to the layered path.
-    Anything else (a fault/resilient layer, legacy store, non-caching
-    client, or either process-wide switch off) keeps every operation on
+    Anything else (a legacy store, a non-caching client, an unrecognised
+    stack, or either process-wide switch off) keeps every operation on
     the layered path.
     """
 
@@ -142,10 +144,12 @@ class QueryContext:
     def first_mentions(self, user_ids: Sequence[int]) -> List[Optional[float]]:
         """Batched :meth:`first_mention` preserving input order.
 
-        The batch classifier's entry point: with the kernel resolved, all
-        uncached users are answered from the frozen first-mention columns
-        in one vectorised lookup (charges replayed per user in input
-        order — identical accounting to sequential calls); the layered
+        The batch classifier's entry point: with the kernel resolved on
+        the bare stack, all uncached users are answered from the frozen
+        first-mention columns in one vectorised lookup (charges replayed
+        per user in input order — identical accounting to sequential
+        calls); on a fault stack the kernel makes the sequential requests
+        and reads each returned row page through the columns; the layered
         path makes exactly those sequential calls.  Results land in the
         same per-context memo either way, which is what makes a timeline
         classified at most once per ``(client, keyword)`` across pilot

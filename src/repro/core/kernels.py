@@ -1,6 +1,6 @@
 """Compiled walk kernels: batched column reads under the walk loop.
 
-The fast path (:mod:`repro.api.fastpath`) flattens the *client stack*;
+The fast path (:mod:`repro.api.fastpath`) binds the *client stack*;
 this module flattens the per-user reads *on top of it*.
 :func:`resolve_kernel` inspects a
 :class:`~repro.core.graph_builder.QueryContext` once per query and, when
@@ -8,11 +8,17 @@ the fast path resolved and the store's columns are clean 1-D contiguous
 int64/float64 arrays, returns a :class:`KernelOps` providing
 
 * **batched first mentions** — ``resolve_mentions`` answers a whole
-  neighborhood from the frozen columns (batched ``timeline_lengths`` +
-  first-mention ``searchsorted``); ``QueryContext.first_mention`` and
-  ``first_mentions`` route through it, so the one classifier
+  neighborhood; ``QueryContext.first_mention`` and ``first_mentions``
+  route through it, so the one classifier
   (``LevelByLevelOracle._classify``) gets the batch whenever a kernel
-  resolved.  It is the only reader of first mentions from the columns;
+  resolved.  On the bare stack (``faultless``) it reads the frozen
+  columns directly (batched ``timeline_lengths`` + first-mention
+  ``searchsorted``) and prepays each timeline.  On a faulted stack each
+  miss goes through the client stack in input order — admission, fault
+  dice, retries, ``uncacheable`` and degraded serves as on the layered
+  path — and the answer is read from the returned page's column rows
+  (:class:`~repro.api.interface.RowTimelineView`), never from ``Post``
+  objects;
 * **capped-window resolution** — users whose timeline exceeds the
   platform cap would otherwise materialise the entire capped timeline
   (thousands of :class:`~repro.platform.posts.Post` objects) to read one
@@ -20,22 +26,23 @@ int64/float64 arrays, returns a :class:`KernelOps` providing
   window of the columns (`timeline_rows[-cap:]` + keyword-code mask),
   with byte-identical charges, cache counters and trace events;
 * **columnar condition views** — ``build_view`` assembles the
-  :class:`~repro.core.query.UserView` for a prepaid user straight from
-  the columns (only *matching* posts are materialised) instead of
-  building the full timeline tuple;
-* **paged prefetch (mmap plane)** — :class:`PagePrefetcher` batches
+  :class:`~repro.core.query.UserView` for a prepaid user, or from a
+  cached row page, straight from the columns (only *matching* posts are
+  materialised) instead of building the full timeline tuple;
+* **paged prefetch (mmap plane, bare stack)** — :class:`PagePrefetcher` batches
   ``madvise(WILLNEED)`` over the timeline pages a walk batch is about to
   touch, so classification of a 10M-row mapped store overlaps its page
   faults instead of serialising them.  The touch-ahead window is
   ``drop_caches``-aware: the store's ``cache_epoch`` invalidates the
   already-advised set.
 
-A resolved kernel also tells the walkers the stack is clean, so MA-TARW's
-stepping loop may classify straight through the oracle instead of through
-the fault-retry wrapper (see ``MATARWEstimator._instance_runner``).  The
-dead-end memo that replays budget-rejected classifications from their
-counter footprint is not kernel-specific: it reads the caching client's
-``failure_counters`` / ``replay_failure`` on every stack.
+A resolved kernel does *not* mean the stack is clean: ``faultless``
+says so.  Only on a faultless kernel may the walkers classify straight
+through the oracle instead of through the fault-retry wrapper
+(``BaseWalker._faultless``, see ``MATARWEstimator._instance_runner``).
+The dead-end memo that replays budget-rejected classifications from
+their counter footprint is not kernel-specific: it reads the caching
+client's ``failure_counters`` / ``replay_failure`` on every stack.
 
 Resolution rules / fallback matrix (mirrors ``resolve_fast_path``; the
 ``kernel.fallback{reason}`` counter names the failing rule):
@@ -45,15 +52,18 @@ reason                    rule
 ========================  =====================================================
 ``disabled``              :func:`set_kernel_enabled` switch off, or the
                           ``REPRO_NO_KERNEL=1`` environment override
-``no-fastpath``           the context's fast path did not resolve (fault or
-                          resilient layers, legacy store, non-caching client)
+``no-fastpath``           the context's fast path did not resolve (legacy
+                          store, non-caching client, or a stack the caching
+                          client does not recognise)
 ``non-contiguous``        any serving column is not a clean 1-D C-contiguous
                           int64/float64 array
 ========================  =====================================================
 
-On success ``kernel.resolved`` fires.  A context whose kernel does not
-resolve drops its fast path too, so there are two configurations: fast
-path + kernel, or fully layered.
+On success ``kernel.resolved`` fires — on the bare stack and on the
+fault/resilient stacks alike.  A context whose kernel does not resolve
+drops its fast path too, so there are two configurations: fast path +
+kernel, or fully layered (``set_kernel_enabled(False)`` selects the
+latter on every stack; it is the twin the kernel tier compares against).
 
 Bit-identity argument, in brief: every charge, cache counter, trace event
 and RNG draw happens in the same order with the same values as on the
@@ -74,6 +84,7 @@ import numpy as np
 
 from repro.errors import PlatformError
 from repro.obs import NULL_OBS, Observability
+from repro.platform.frozen import first_mention_in, mentions_in
 
 _ENABLED = True
 _ENABLED_LOCK = threading.Lock()
@@ -101,30 +112,9 @@ def kernel_enabled() -> bool:
 
 
 # ----------------------------------------------------------------------
-# column primitives (module-level so property tests hit them directly)
+# column primitives (module-level so property tests hit them directly;
+# the row-level ones live with the store they read)
 # ----------------------------------------------------------------------
-def match_mask(store, rows: np.ndarray, match_codes: np.ndarray,
-               extra_pids: np.ndarray) -> np.ndarray:
-    """Boolean mask over column *rows*: post's keywords contain the needle.
-
-    ``match_codes`` are the registered keyword codes whose singleton
-    keyword set contains the needle; ``extra_pids`` the (sorted) post ids
-    of multi-keyword posts matching it.  A code match implies a true
-    keyword match even for multi-keyword posts, because a post's code is
-    its alphabetically-first word — always a member of its keyword set.
-    """
-    codes = store.post_keyword[rows]
-    if match_codes.size == 1:
-        mask = codes == match_codes[0]
-    elif match_codes.size:
-        mask = np.isin(codes, match_codes)
-    else:
-        mask = np.zeros(rows.shape[0], dtype=bool)
-    if extra_pids.size:
-        mask |= np.isin(store.post_id[rows], extra_pids)
-    return mask
-
-
 def first_mention_from_columns(store, match_codes: np.ndarray,
                                extra_pids: np.ndarray, user_id: int,
                                cap: Optional[int]) -> Optional[float]:
@@ -137,10 +127,7 @@ def first_mention_from_columns(store, match_codes: np.ndarray,
     rows = store.timeline_rows(user_id)
     if cap is not None and rows.shape[0] > cap:
         rows = rows[-cap:]
-    hits = np.flatnonzero(match_mask(store, rows, match_codes, extra_pids))
-    if hits.size == 0:
-        return None
-    return float(store.post_time[rows[hits[0]]])
+    return first_mention_in(store, rows, match_codes, extra_pids)
 
 
 # ----------------------------------------------------------------------
@@ -230,7 +217,7 @@ class KernelOps:
     __slots__ = (
         "context", "fast", "cache", "sim", "store", "keyword", "query",
         "window", "match_codes", "extra_pids", "timeline_cap",
-        "timeline_page", "calls_for_items", "prefetcher",
+        "timeline_page", "calls_for_items", "prefetcher", "faultless",
         "_log_exact", "_capped_calls", "_cache_metrics",
     )
 
@@ -243,14 +230,17 @@ class KernelOps:
         self.store = fast.store
         self.keyword = fast.keyword
         self.query = context.query
-        self.window = context.query.window
         store = fast.store
-        self.match_codes = store.matching_keyword_codes(self.keyword)
-        self.extra_pids = store.matching_extra_post_ids(self.keyword)
+        self.window = (context.query.window_start, context.query.window_end)
+        self.match_codes, self.extra_pids = store.keyword_matcher(self.keyword)
         self.timeline_cap = fast.timeline_cap
         self.timeline_page = fast.timeline_page
         self.calls_for_items = fast.calls_for_items
         self.prefetcher = prefetcher
+        self.faultless = fast.faultless
+        """True on the bare stack, where no fault or resilient layer can
+        raise :class:`~repro.errors.TransientAPIError` (see
+        :attr:`FastPathOps.faultless <repro.api.fastpath.FastPathOps.faultless>`)."""
         self._log_exact = store.has_keyword_log(self.keyword) or (
             self.match_codes.size == 0 and self.extra_pids.size == 0
         )
@@ -314,10 +304,14 @@ class KernelOps:
         as sequential layered fetches would issue — so a mid-batch
         ``BudgetExhaustedError`` leaves exactly the layered prefix state.
         Capped users resolve through :meth:`_capped_first_mention`
-        instead of materialising their timeline.
+        instead of materialising their timeline.  A faulted stack
+        resolves through :meth:`_resolve_through_stack` instead.
         """
         missing = [u for u in user_ids if u not in memo]
         if not missing:
+            return
+        if not self.faultless:
+            self._resolve_through_stack(missing, memo)
             return
         fast = self.fast
         store = self.store
@@ -411,6 +405,40 @@ class KernelOps:
                     prepaid.add(user_id)
                 memo[user_id] = times_list[i] if mentioned_list[i] else None
 
+    def _resolve_through_stack(self, missing: List[int],
+                               memo: Dict[int, Optional[float]]) -> None:
+        """First mentions on a faulted stack, one request per miss.
+
+        Each miss is an ordinary ``user_timeline`` request through the
+        caching client and the resilient and fault layers, in input
+        order, so admission, fault dice, retries, charges, cache
+        counters, ``uncacheable`` and degraded serves happen exactly as
+        on the layered path, and an error mid-batch leaves the layered
+        prefix state.  The answer is read from the returned page's
+        column rows (a degraded partial page answers from its rows, as
+        the layered reader does).  A user absent from the keyword's
+        first-mention column, where that proves no mention anywhere,
+        answers None without a gather.
+        """
+        kw_users = self.fast.kw_users
+        arr = np.asarray(missing, dtype=np.int64)
+        if kw_users.size:
+            pos = np.minimum(np.searchsorted(kw_users, arr), kw_users.size - 1)
+            mentioned = (kw_users[pos] == arr).tolist()
+        else:
+            mentioned = [False] * len(missing)
+        fetch = self.cache.user_timeline
+        keyword = self.keyword
+        log_exact = self._log_exact
+        for user_id, is_mentioned in zip(missing, mentioned):
+            if user_id in memo:
+                continue  # repeated in the batch: the layered memo hit
+            page = fetch(user_id)
+            if log_exact and not is_mentioned:
+                memo[user_id] = None
+            else:
+                memo[user_id] = page.first_mention_time(keyword)
+
     # ------------------------------------------------------------------
     # columnar condition views
     # ------------------------------------------------------------------
@@ -418,12 +446,16 @@ class KernelOps:
         """Assemble a :class:`UserView` without materialising the full
         timeline, or return None to send the caller down the layered path.
 
-        A cached timeline serves exactly as before; a *prepaid* user —
-        the common case after kernel classification — gets its matching
-        posts gathered from the columns (only matching rows materialise)
-        and stays prepaid.  Anyone else (never classified, e.g. after a
-        budget abort) returns None: the layered path charges and counts for
-        them exactly as without the kernel.
+        A cached page answers its own ``mentions`` — a row page
+        (:class:`~repro.api.interface.RowTimelineView`, the only kind a
+        frozen store serves) filters its rows through the columns.  A
+        *prepaid* user — the common case after kernel classification on
+        the bare stack — gets its matching posts gathered from the capped
+        window of the columns and stays prepaid.  Either way only
+        matching rows materialise.  Anyone else (never
+        classified, e.g. after a budget abort, or served a degraded page
+        the cache would not keep) returns None: the layered path charges
+        and counts for them exactly as without the kernel.
         """
         from repro.core.query import UserView
 
@@ -431,12 +463,12 @@ class KernelOps:
             view = self.cache.note_timeline_hit(user_id)
         except KeyError:
             return None
-        if view is not None:
-            matching = self.query.filter_matching_posts(view.posts)
-            profile = view.profile
-        else:
+        if view is None:
             matching = self._matching_posts(user_id)
             profile = self.sim.profile_view(user_id)
+        else:
+            matching = tuple(view.mentions(self.keyword, *self.window))
+            profile = view.profile
         return UserView(
             user_id=user_id,
             display_name=profile.display_name,
@@ -448,20 +480,14 @@ class KernelOps:
 
     def _matching_posts(self, user_id: int):
         """Columnar ``query.filter_matching_posts`` over the capped window."""
-        store = self.store
-        rows = store.timeline_rows(user_id)
+        rows = self.store.timeline_rows(user_id)
         cap = self.timeline_cap
         if cap is not None and rows.shape[0] > cap:
             rows = rows[-cap:]
-        mask = match_mask(store, rows, self.match_codes, self.extra_pids)
-        if self.window is not None:
-            lo, hi = self.window
-            times = store.post_time[rows]
-            mask &= (times >= lo) & (times < hi)
-        hits = rows[mask]
-        if hits.size == 0:
-            return ()
-        return store.materialize_rows(hits)
+        start, end = self.window
+        return mentions_in(
+            self.store, rows, self.match_codes, self.extra_pids, start, end
+        )
 
     def prefetch_views(self, nodes: Sequence[int]) -> None:
         """Advise the timeline pages of upcoming condition checks (mmap
@@ -516,7 +542,10 @@ def resolve_kernel(context, obs: Optional[Observability] = None) -> Optional[Ker
     if metrics is not None:
         metrics.counter("kernel.resolved").inc()
     prefetcher = None
-    if getattr(store, "storage", "ram") == "mmap":
+    if fast.faultless and getattr(store, "storage", "ram") == "mmap":
+        # A faulted stack reads one page per request, each behind the
+        # fault and resilient layers' own work: batched advice would
+        # only add syscalls to it.
         prefetcher = PagePrefetcher(store, [store.post_keyword, store.post_time])
     return KernelOps(context, fast, prefetcher=prefetcher)
 
@@ -526,7 +555,6 @@ __all__: List[str] = [
     "PagePrefetcher",
     "first_mention_from_columns",
     "kernel_enabled",
-    "match_mask",
     "resolve_kernel",
     "set_kernel_enabled",
 ]

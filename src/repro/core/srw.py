@@ -24,12 +24,13 @@ The chain loop, sample filtering and estimate assembly all live in
 config and the registry identity.
 
 When the query context resolved a compiled kernel
-(:func:`repro.core.kernels.resolve_kernel`), the shared chain loop steps
-the oracle *directly* instead of through the ``step_retries`` wrapper: a
-kernel only resolves on the clean stack (fast path + kernel), where
+(:func:`repro.core.kernels.resolve_kernel`) over the bare clean stack
+(``KernelOps.faultless``), the shared chain loop steps the oracle
+*directly* instead of through the ``step_retries`` wrapper: there
 ``TransientAPIError`` cannot occur, so the retry wrapper is a guaranteed
 no-op and skipping it is bit-identical (budget exhaustion propagates the
-same either way).  The Geweke diagnostic, thinning and Katzir/ratio
+same either way).  A kernel over a fault or resilient stack keeps the
+wrapper.  The Geweke diagnostic, thinning and Katzir/ratio
 accumulators stay scalar on purpose — reordering those float reductions
 would break bit-identity with the interpreted path.
 """

@@ -658,9 +658,10 @@ class MATARWEstimator(BaseWalker):
           oracle's up/down memo (the accessor would return the same list
           at no API cost).  A miss classifies through the dead-end memo
           (:meth:`_dead_end_fetch`), on every client stack: straight
-          through the oracle accessor when the kernel resolved (a clean
-          stack, where :class:`TransientAPIError` cannot surface), through
-          the :meth:`_oracle_step` retry wrapper otherwise.
+          through the oracle accessor on the bare clean stack
+          (``self._faultless``: :class:`TransientAPIError` cannot
+          surface), through the :meth:`_oracle_step` retry wrapper
+          otherwise — a kernel over a fault stack included.
         * **index draw** — for a stock ``random.Random``, ``choice(seq)``
           is ``seq[_randbelow(len(seq))]``; ``_randbelow_with_getrandbits``
           is inlined for the steps, consuming the identical
@@ -686,7 +687,7 @@ class MATARWEstimator(BaseWalker):
         max_length = config.max_path_length
         classify_up = oracle.up_neighbors
         classify_down = oracle.down_neighbors
-        if kernel is None:
+        if not self._faultless:
             classify_up = functools.partial(self._oracle_step, classify_up)
             classify_down = functools.partial(self._oracle_step, classify_down)
         fetch_up = self._dead_end_fetch(classify_up)

@@ -119,17 +119,25 @@ class BaseWalker:
         one), so the per-step cost probe is one attribute read instead
         of a delegation chain."""
         oracle_context = getattr(oracle, "context", None)
-        self._kernel = getattr(
+        self._bind_kernel(getattr(
             oracle_context if oracle_context is not None else context, "kernel", None
-        )
-        """The oracle's compiled kernel (:mod:`repro.core.kernels`), or
-        None.  Bound from the *oracle's* context — Walk-Not-Wait rebinds
-        its oracle to a probing context, and the kernel must describe the
-        stack the oracle actually steps.  A resolved kernel implies the
-        clean stack, where :class:`TransientAPIError` cannot surface, so
-        hot loops may call the oracle directly instead of through the
-        :meth:`_oracle_step` retry wrapper — a guaranteed no-op there —
-        with ``BudgetExhaustedError`` propagating identically."""
+        ))
+
+    def _bind_kernel(self, kernel) -> None:
+        """Bind the oracle's compiled kernel (:mod:`repro.core.kernels`).
+
+        Bound from the *oracle's* context — Walk-Not-Wait rebinds its
+        oracle to a probing context, and the kernel must describe the
+        stack the oracle actually steps."""
+        self._kernel = kernel
+        """The oracle's kernel, or None on the layered path."""
+        self._faultless = kernel is not None and kernel.faultless
+        """True when the oracle steps the bare clean stack, where
+        :class:`TransientAPIError` cannot surface: hot loops may then call
+        the oracle directly instead of through the :meth:`_oracle_step`
+        retry wrapper — a guaranteed no-op there — with
+        ``BudgetExhaustedError`` propagating identically.  A kernel over
+        a fault or resilient stack keeps the wrapper."""
 
     # ------------------------------------------------------------------
     def algorithm_id(self) -> str:
@@ -307,7 +315,7 @@ class ChainSampleWalker(BaseWalker):
     def _advance(self, currents: List[int], index: int, seeds: List[int]) -> None:
         """One chain step: move to a uniform neighbor (reseed dead ends)
         and commit the reached node as an observation."""
-        if self._kernel is not None:
+        if self._faultless:
             neighbors = self.oracle.neighbors(currents[index])
         else:
             neighbors = self._oracle_step(self.oracle.neighbors, currents[index])
@@ -348,7 +356,7 @@ class ChainSampleWalker(BaseWalker):
     def _sample_degree(self, node: int) -> float:
         """Reweighting degree recorded for a visited node (hook: the
         rewired walker adds its virtual edges here)."""
-        if self._kernel is not None:
+        if self._faultless:
             return float(self.oracle.degree(node))
         return float(self._oracle_step(self.oracle.degree, node))
 

@@ -116,24 +116,23 @@ class ProbingContext(QueryContext):
             # earlier escalation): the exact answer is free — don't pay a
             # probe.
             return super().first_mention(user_id)
-        posts, _truncated = sim._timeline_posts(user_id)
+        page = sim.timeline_view(user_id)
         profile = sim.platform.profile
-        window = posts[: self.probe_pages * profile.timeline_page_size]
-        calls = profile.calls_for_items(len(window), profile.timeline_page_size)
+        window = page.head(self.probe_pages * profile.timeline_page_size)
+        calls = profile.calls_for_items(window.post_count, profile.timeline_page_size)
         # Charged below the fault-injection layer: a probe is a paged
         # read of data the simulator already holds, so it consumes no
         # fault draws and cannot perturb fault bit-identity.
         sim.charge_timeline(user_id, calls)
         self.probe_calls += calls
-        needle = self.query.keyword.lower()
-        for post in window:
-            # Oldest-first: the first hit in the window is the global
-            # first (visible) mention, exactly as a full fetch reports.
-            if needle in post.keywords:
-                memo[user_id] = post.timestamp
-                self.probe_resolved += 1
-                return post.timestamp
-        if len(window) == len(posts):
+        # Oldest-first: the first hit in the window is the global first
+        # (visible) mention, exactly as a full fetch reports.
+        mention = window.first_mention_time(self.query.keyword)
+        if mention is not None:
+            memo[user_id] = mention
+            self.probe_resolved += 1
+            return mention
+        if window.post_count == page.post_count:
             memo[user_id] = None  # whole visible timeline read: definitive
             self.probe_resolved += 1
             return None
@@ -191,7 +190,7 @@ class WNWEstimator(MASRWEstimator):
             self.oracle = rebuild_oracle(oracle, probing)
             # Re-sync the walker's kernel binding: the kernel must
             # describe the context the oracle now steps.
-            self._kernel = probing.kernel
+            self._bind_kernel(probing.kernel)
 
     def _walker_diagnostics(self) -> dict:
         context = self.context

@@ -47,6 +47,63 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.platform.store import MicroblogStore
 
 
+def _unmapped(array):
+    """*array* as a base-class ndarray.  A memmap column is re-viewed, not
+    copied — it still reads the mapped file — so the serving path's
+    slices and gathers skip ``np.memmap``'s per-index subclass hooks."""
+    return array.view(np.ndarray) if isinstance(array, np.memmap) else array
+
+
+def _unmapped_dict(arrays: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    return {name: _unmapped(array) for name, array in arrays.items()}
+
+
+def match_mask(store, rows: np.ndarray, match_codes: np.ndarray,
+               extra_pids: np.ndarray) -> np.ndarray:
+    """Boolean mask over column *rows*: post's keywords contain the needle.
+
+    ``match_codes`` are the registered keyword codes whose singleton
+    keyword set contains the needle; ``extra_pids`` the (sorted) post ids
+    of multi-keyword posts matching it.  A code match implies a true
+    keyword match even for multi-keyword posts, because a post's code is
+    its alphabetically-first word — always a member of its keyword set.
+    """
+    codes = store.post_keyword[rows]
+    if match_codes.size == 1:
+        mask = codes == match_codes[0]
+    elif match_codes.size:
+        mask = np.isin(codes, match_codes)
+    else:
+        mask = np.zeros(rows.shape[0], dtype=bool)
+    if extra_pids.size:
+        mask |= np.isin(store.post_id[rows], extra_pids)
+    return mask
+
+
+def first_mention_in(store, rows: np.ndarray, match_codes: np.ndarray,
+                     extra_pids: np.ndarray) -> Optional[float]:
+    """Time of the first of *rows* whose post matches the needle (see
+    :func:`match_mask`), or None."""
+    hits = np.flatnonzero(match_mask(store, rows, match_codes, extra_pids))
+    if hits.size == 0:
+        return None
+    return float(store.post_time[rows[hits[0]]])
+
+
+def mentions_in(store, rows: np.ndarray, match_codes: np.ndarray,
+                extra_pids: np.ndarray, start: float, end: float) -> Tuple[Post, ...]:
+    """Posts of the *rows* that match the needle (see :func:`match_mask`)
+    inside ``[start, end)``, in row order; only those rows materialise."""
+    mask = match_mask(store, rows, match_codes, extra_pids)
+    if start != float("-inf") or end != float("inf"):
+        times = store.post_time[rows]
+        mask &= (times >= start) & (times < end)
+    hits = rows[mask]
+    if hits.size == 0:
+        return ()
+    return store.materialize_rows(hits)
+
+
 @dataclass
 class CompiledIndexes:
     """The sorted indexes :meth:`FrozenStore._compile_indexes` produces.
@@ -91,12 +148,12 @@ class FrozenStore:
         self.graph = graph
         self._profiles = profiles
         self._user_order = user_order
-        self.post_user = post_user
-        self.post_time = post_time
-        self.post_id = post_id
-        self.post_length = post_length
-        self.post_likes = post_likes
-        self.post_keyword = post_keyword
+        self.post_user = _unmapped(post_user)
+        self.post_time = _unmapped(post_time)
+        self.post_id = _unmapped(post_id)
+        self.post_length = _unmapped(post_length)
+        self.post_likes = _unmapped(post_likes)
+        self.post_keyword = _unmapped(post_keyword)
         self._keyword_names = keyword_names
         self._multi = multi_keywords or {}
         self._next_post_id = (
@@ -252,19 +309,20 @@ class FrozenStore:
 
     def _adopt_indexes(self, compiled: CompiledIndexes) -> None:
         """Serve from pre-sorted (possibly disk-mapped) indexes as-is."""
-        self._sorted_user_ids = compiled.sorted_user_ids
-        self._tl_order = compiled.tl_order
-        self._tl_indptr = compiled.tl_indptr
+        self._sorted_user_ids = _unmapped(compiled.sorted_user_ids)
+        self._tl_order = _unmapped(compiled.tl_order)
+        self._tl_indptr = _unmapped(compiled.tl_indptr)
         self._tl_cache = {}
-        self._kw_times = dict(compiled.kw_times)
-        self._kw_users = dict(compiled.kw_users)
-        self._kw_pids = dict(compiled.kw_pids)
-        self._kw_first_users = dict(compiled.kw_first_users)
-        self._kw_first_times = dict(compiled.kw_first_times)
+        self._kw_times = _unmapped_dict(compiled.kw_times)
+        self._kw_users = _unmapped_dict(compiled.kw_users)
+        self._kw_pids = _unmapped_dict(compiled.kw_pids)
+        self._kw_first_users = _unmapped_dict(compiled.kw_first_users)
+        self._kw_first_times = _unmapped_dict(compiled.kw_first_times)
         self._finish_indexes()
 
     def _finish_indexes(self) -> None:
         self._kw_sets = {name: make_keywords(name) for name in self._keyword_names}
+        self._matchers: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
     def compiled_indexes(self) -> CompiledIndexes:
         """The live index bundle (shared arrays, treat as immutable)."""
@@ -522,6 +580,34 @@ class FrozenStore:
             if needle in make_keywords(*words)
         ]
         return np.asarray(sorted(pids), dtype=np.int64)
+
+    def keyword_matcher(self, keyword: str) -> Tuple[np.ndarray, np.ndarray]:
+        """``(matching_keyword_codes, matching_extra_post_ids)`` for
+        *keyword*, memoised until the indexes change: the arguments
+        :func:`match_mask` takes for a needle."""
+        name = keyword.lower()
+        matcher = self._matchers.get(name)
+        if matcher is None:
+            matcher = self._matchers[name] = (
+                self.matching_keyword_codes(name),
+                self.matching_extra_post_ids(name),
+            )
+        return matcher
+
+    def first_mention_in_rows(self, rows: np.ndarray, keyword: str) -> Optional[float]:
+        """Time of the first post among *rows* mentioning *keyword*, or
+        None: ``TimelineView.first_mention_time`` over the posts of those
+        rows, read from the columns."""
+        return first_mention_in(self, rows, *self.keyword_matcher(keyword))
+
+    def mentions_in_rows(
+        self, rows: np.ndarray, keyword: str,
+        start: float = float("-inf"), end: float = float("inf"),
+    ) -> Tuple[Post, ...]:
+        """Posts among *rows* mentioning *keyword* inside ``[start, end)``,
+        in row order: ``TimelineView.mentions`` over those rows, with only
+        the matching rows materialised."""
+        return mentions_in(self, rows, *self.keyword_matcher(keyword), start, end)
 
     def first_mention_arrays(self, keyword: str) -> Tuple[np.ndarray, np.ndarray]:
         """First-mention columns for *keyword*: ``(user_ids, times)``.

@@ -1,7 +1,8 @@
 """Regression suite for the flattened client fast path.
 
 Pins the :mod:`repro.api.fastpath` contract: resolution rules (clean
-stacks flatten, fault stacks stay layered), bit-identical estimates and
+stacks flatten, recognised fault/resilient stacks bind without
+flattening, unrecognised stacks stay layered), bit-identical estimates and
 accounting fast-vs-slow, the prepaid-timeline single-charge rule, the
 once-per-(client, keyword) classification dedup across pilot candidates,
 capped timelines, the DP epoch key, and the vectorised level
@@ -83,16 +84,31 @@ class TestResolution:
         assert context.fast is None
 
     @pytest.mark.chaos
-    def test_fault_stack_stays_layered(self, tiny_platform):
+    def test_fault_stack_resolves(self, tiny_platform):
+        """The fault stack binds the fast path, but not its flattening:
+        requests still travel the fault and resilient layers."""
         plan = FaultPlan(seed=5, transient_rate=0.05)
         sim = SimulatedMicroblogClient(tiny_platform)
         client = CachingClient(ResilientClient(FaultInjectingClient(sim, plan)))
         context = QueryContext(client, count_users(KEYWORD))
-        assert context.fast is None
+        assert context.fast is not None and context.fast.sim is sim
+        assert not context.fast.faultless
 
     @pytest.mark.chaos
-    def test_resilient_only_stack_stays_layered(self, tiny_platform):
-        client = CachingClient(ResilientClient(SimulatedMicroblogClient(tiny_platform)))
+    def test_resilient_only_stack_resolves(self, tiny_platform):
+        sim = SimulatedMicroblogClient(tiny_platform)
+        client = CachingClient(ResilientClient(sim))
+        context = QueryContext(client, count_users(KEYWORD))
+        assert context.fast is not None and context.fast.sim is sim
+        assert not context.fast.faultless
+
+    @pytest.mark.chaos
+    def test_unrecognised_stack_stays_layered(self, tiny_platform):
+        """A fault layer straight under the cache (no resilient layer to
+        heal it) is not a stack the kernel knows."""
+        plan = FaultPlan(seed=5, transient_rate=0.05)
+        sim = SimulatedMicroblogClient(tiny_platform)
+        client = CachingClient(FaultInjectingClient(sim, plan))
         context = QueryContext(client, count_users(KEYWORD))
         assert context.fast is None
 

@@ -6,11 +6,12 @@ Pins the :mod:`repro.core.kernels` contract:
   layered path) runs produce byte-equal canonical traces (and equal
   values / CostMeter columns) across walker (MA-TARW / MA-SRW /
   Walk-Not-Wait) × workers (serial / 3) × fault profile (clean /
-  hostile) × data plane (frozen / mmap).  Hostile stacks never resolve
-  a kernel, so those cells double as fallback-degradation checks.
-* **Resolution rules** — clean caching stacks resolve (with counters);
-  fault stacks and either process-wide switch fall back to the fully
-  layered path with the documented reason labels.
+  hostile) × data plane (frozen / mmap).  Hostile stacks resolve the
+  kernel too, reading row pages through the fault and resilient layers.
+* **Resolution rules** — clean caching stacks and the recognised
+  fault/resilient stacks resolve (with counters); unrecognised stacks
+  and either process-wide switch fall back to the fully layered path
+  with the documented reason labels.
 * **One walk engine** — traced and dark runs execute the same instance
   runner, and the configs that once forced the interpreted instance
   loop (intra-edge retention, the paper combine, ESTIMATE-p) stay
@@ -193,15 +194,16 @@ def test_wnw_probes_reuse_prepaid_timelines(tiny_platform, switch):
 
 def test_traced_and_untraced_runs_share_one_runner(frozen_platform, monkeypatch):
     """Attaching telemetry binds hooks, not a different loop: every run —
-    dark or traced, kernel or fault stack — builds its discovery, walk
+    dark or traced, clean or fault stack — builds its discovery, walk
     and recount runners from the same closure code, and the traced answer
-    equals the dark one."""
+    equals the dark one.  The fault stack resolves a kernel too, but
+    keeps the step-retry wrapper (not faultless)."""
     built = []
     build = MATARWEstimator._instance_runner
 
     def spy(self, phase):
         runner = build(self, phase)
-        built.append((self.obs.enabled, self._kernel is not None, phase, runner.__code__))
+        built.append((self.obs.enabled, self._faultless, phase, runner.__code__))
         return runner
 
     monkeypatch.setattr(MATARWEstimator, "_instance_runner", spy)
@@ -214,8 +216,8 @@ def test_traced_and_untraced_runs_share_one_runner(frozen_platform, monkeypatch)
         fault_plan=FAULT_PROFILES["hostile"],
     )
     assert {entry[:3] for entry in built} == {
-        (traced_, kernel, phase)
-        for traced_, kernel in ((False, True), (True, True), (True, False))
+        (traced_, faultless, phase)
+        for traced_, faultless in ((False, True), (True, True), (True, False))
         for phase in ("discovery", "walk", "recount")
     }
     assert len({entry[3] for entry in built}) == 1
@@ -314,7 +316,7 @@ class TestResolution:
         assert context.kernel is None
 
     @pytest.mark.chaos
-    def test_fault_stack_falls_back(self, tiny_platform):
+    def test_fault_stack_resolves(self, tiny_platform):
         metrics = MetricsRegistry()
         sim = SimulatedMicroblogClient(tiny_platform)
         client = CachingClient(
@@ -323,9 +325,24 @@ class TestResolution:
         context = QueryContext(
             client, count_users(KEYWORD), obs=Observability(metrics=metrics)
         )
+        assert context.fast is not None and context.kernel is not None
+        assert not context.kernel.faultless
+        counters = metrics.snapshot()["counters"]
+        assert counters["kernel.resolved"] == 1
+        assert not any(key.startswith("kernel.fallback") for key in counters)
+
+    @pytest.mark.chaos
+    def test_unrecognised_stack_falls_back(self, tiny_platform):
+        metrics = MetricsRegistry()
+        sim = SimulatedMicroblogClient(tiny_platform)
+        client = CachingClient(FaultInjectingClient(sim, FaultPlan(seed=5)))
+        context = QueryContext(
+            client, count_users(KEYWORD), obs=Observability(metrics=metrics)
+        )
         assert context.fast is None and context.kernel is None
         counters = metrics.snapshot()["counters"]
         assert counters["kernel.fallback{reason=no-fastpath}"] == 1
+        assert counters["fastpath.fallback{reason=layered-stack}"] == 1
 
     def test_mmap_plane_gets_prefetcher(self, mmap_platform, tiny_platform):
         _, mmap_ctx = _stack(mmap_platform)
@@ -472,7 +489,7 @@ def _exhausting_run(
         context = QueryContext(client, count_users(KEYWORD), obs=obs)
         oracle = LevelByLevelOracle(context, LevelIndex(interval=DAY))
         result = MATARWEstimator(context, oracle, seed=seed).estimate()
-    assert (context.kernel is not None) == (enabled and faults is None)
+    assert (context.kernel is not None) == enabled
     observed = dict(
         value=result.value,
         cost_total=result.cost_total,
