@@ -119,7 +119,18 @@ class RowTimelineView(TimelineView):
     *profile* is the page's :class:`ProfileView`, or a zero-argument
     callable that builds it on first read (most pages are read for a
     first mention only).
+
+    ``dataclasses.replace(page, ...)`` works as on any
+    :class:`TimelineView` and returns a ``Post``-tuple view: it rebuilds
+    the page from the dataclass fields (profile, posts, truncated), which
+    :meth:`__new__` hands to :class:`TimelineView`.  :meth:`with_rows`
+    and :meth:`head` keep the row shape.
     """
+
+    def __new__(cls, *args: Any, **fields: Any) -> TimelineView:
+        if "posts" in fields:  # dataclasses.replace
+            return TimelineView(**fields)
+        return object.__new__(cls)
 
     def __init__(self, profile: Any, store: Any, rows: Any, truncated: bool) -> None:
         # Frozen-dataclass fields: write the instance dict directly, as

@@ -118,11 +118,7 @@ _hit_marker = attrgetter("user_id", "post_id")
 
 
 def _rows_unique(rows: np.ndarray) -> bool:
-    """True when no column row repeats.  A set for short pages; a sort
-    and neighbour compare for long ones, where it is several times
-    cheaper."""
-    if rows.shape[0] <= 64:
-        return len(set(rows.tolist())) == rows.shape[0]
+    """True when no column row repeats (sort, then compare neighbours)."""
     ordered = np.sort(rows)
     return not (ordered[1:] == ordered[:-1]).any()
 
@@ -288,8 +284,9 @@ class ResilientClient(MicroblogAPI):
     def _heal(kind: str, response):
         """Deduplicate corrupted pages; a clean response comes back as is.
 
-        Uniqueness is checked with one set of ids built at C speed; the
-        per-row dedupe runs only on a page that holds a duplicate."""
+        Uniqueness is checked at C speed (a set of ids, or a sort of a
+        row page's rows); the per-row dedupe runs only on a page that
+        holds a duplicate."""
         if kind == "connections":
             unique = set(response)
             if len(unique) == len(response):

@@ -363,14 +363,7 @@ class KernelOps:
             for user_id in missing:
                 self.resolve_mentions((user_id,), memo)
             return
-        kw_users = fast.kw_users
-        if kw_users.size:
-            pos = np.minimum(np.searchsorted(kw_users, arr), kw_users.size - 1)
-            mentioned = kw_users[pos] == arr
-            times = fast.kw_times[pos]
-        else:
-            mentioned = np.zeros(arr.size, dtype=bool)
-            times = np.zeros(arr.size, dtype=np.float64)
+        mentioned, times = self._first_mention_columns(arr)
         cap = self.timeline_cap
         page = self.timeline_page
         calls_for_items = self.calls_for_items
@@ -417,20 +410,16 @@ class KernelOps:
         prefix state.  The answer is read from the returned page's
         column rows (a degraded partial page answers from its rows, as
         the layered reader does).  A user absent from the keyword's
-        first-mention column, where that proves no mention anywhere,
-        answers None without a gather.
+        first-mention column, where that proves no mention anywhere
+        (``_log_exact``, as for capped timelines on the bare stack),
+        answers None without reading the page: any page of theirs,
+        partial or healed, holds no mention either.
         """
-        kw_users = self.fast.kw_users
-        arr = np.asarray(missing, dtype=np.int64)
-        if kw_users.size:
-            pos = np.minimum(np.searchsorted(kw_users, arr), kw_users.size - 1)
-            mentioned = (kw_users[pos] == arr).tolist()
-        else:
-            mentioned = [False] * len(missing)
+        mentioned, _ = self._first_mention_columns(np.asarray(missing, dtype=np.int64))
         fetch = self.cache.user_timeline
         keyword = self.keyword
         log_exact = self._log_exact
-        for user_id, is_mentioned in zip(missing, mentioned):
+        for user_id, is_mentioned in zip(missing, mentioned.tolist()):
             if user_id in memo:
                 continue  # repeated in the batch: the layered memo hit
             page = fetch(user_id)
@@ -438,6 +427,16 @@ class KernelOps:
                 memo[user_id] = None
             else:
                 memo[user_id] = page.first_mention_time(keyword)
+
+    def _first_mention_columns(self, arr: np.ndarray):
+        """``(mentioned, times)`` for the users in *arr*: membership in
+        the keyword's first-mention column, and the first-mention time
+        where it holds (meaningless elsewhere)."""
+        kw_users = self.fast.kw_users
+        if not kw_users.size:
+            return np.zeros(arr.size, dtype=bool), np.zeros(arr.size, dtype=np.float64)
+        pos = np.minimum(np.searchsorted(kw_users, arr), kw_users.size - 1)
+        return kw_users[pos] == arr, self.fast.kw_times[pos]
 
     # ------------------------------------------------------------------
     # columnar condition views

@@ -9,6 +9,7 @@ never be memoised).
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
@@ -283,9 +284,7 @@ def test_duplicates_leak_without_healing_and_heal_with_it(tiny_platform):
     assert heal("search", hits) == hits
     # A duplicated page still dedupes stably: first occurrences, in order.
     posts = view.posts
-    doubled = TimelineView(
-        profile=view.profile, posts=posts[1:2] + posts + posts[:1], truncated=view.truncated
-    )
+    doubled = dataclasses.replace(view, posts=posts[1:2] + posts + posts[:1])
     assert heal("timeline", doubled).posts == posts[1:2] + posts[:1] + posts[2:]
     assert heal("connections", (clean[-1],) + clean) == clean
     assert heal("search", hits[1:2] + hits) == hits[1:2] + hits[:1] + hits[2:]

@@ -184,3 +184,20 @@ def test_row_pages_leave_the_timeline_cache_empty(twins):
     ResilientClient._heal("timeline", FaultInjectingClient._corrupt(page))
     assert page.posts is page.posts  # materialised once, kept on the page
     assert store._tl_cache == {}
+
+
+def test_dataclasses_replace_copies_a_row_page(twins):
+    """``dataclasses.replace`` works on a served row page as on any
+    ``TimelineView``: the copy is a ``Post``-tuple view with the changed
+    fields and the page's other answers."""
+    tuple_page, row_page = _pages(twins, CAP, MULTI_USERS[1])
+    same = dataclasses.replace(row_page)
+    assert type(same) is TimelineView
+    _same_answers(tuple_page, same)
+    flagged = dataclasses.replace(row_page, truncated=True)
+    assert flagged.truncated and flagged.posts == row_page.posts
+    posts = row_page.posts
+    doubled = dataclasses.replace(row_page, posts=posts + posts[:1])
+    assert doubled.posts == posts + posts[:1]
+    assert doubled.profile == row_page.profile
+    assert ResilientClient._heal("timeline", doubled).posts == posts

@@ -36,8 +36,10 @@ from repro.errors import BudgetExhaustedError
 from repro.obs import MetricsRegistry, Observability
 from repro.obs.export import trace_lines
 from repro.obs.trace import RecordingSink
-from repro.platform.clock import DAY
-from repro.platform.simulator import PlatformConfig, build_platform
+from repro.platform.clock import DAY, SimulatedClock
+from repro.platform.frozen import FrozenStore
+from repro.platform.posts import Post, make_keywords
+from repro.platform.simulator import PlatformConfig, SimulatedPlatform, build_platform
 from tests.conftest import tiny_keywords
 from tests.obs.conftest import (
     GOLDEN_BUDGETS,
@@ -235,3 +237,62 @@ def test_budget_exhaustion_mid_neighbourhood_leaves_layered_prefix(tiny_platform
     assert layered["retries"] > 0
     for field in layered:
         assert kernel[field] == layered[field], field
+
+
+# ----------------------------------------------------------------------
+# first mentions of a needle with and without a first-mention column
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def tagged_platform():
+    """A frozen platform where some posts carry ``privacy`` plus
+    ``zebra``, a needle with no first-mention column of its own."""
+    legacy = build_platform(
+        PlatformConfig(
+            num_users=300, keywords=tiny_keywords(), background_posts_mean=6.0,
+            seed=11, data_plane="legacy",
+        )
+    )
+    store = legacy.store
+    for user_id in range(0, 300, 7):
+        timeline = store.timeline(user_id)
+        when = timeline[len(timeline) // 2].timestamp if timeline else 1.0
+        store.add_post(
+            Post(store.new_post_id(), user_id, when, keywords=make_keywords("privacy", "zebra"))
+        )
+    return SimulatedPlatform(
+        config=legacy.config,
+        store=FrozenStore.from_store(store),
+        clock=SimulatedClock(legacy.clock.now()),
+        cascades=legacy.cascades,
+    )
+
+
+@pytest.mark.parametrize("keyword,log_exact", [("privacy", True), ("zebra", False)])
+def test_fault_stack_first_mentions_with_and_without_a_column(
+    tagged_platform, keyword, log_exact
+):
+    """On a hostile stack the kernel answers a user missing from the
+    keyword's first-mention column with None only when that column is
+    exact; a needle without one reads every returned page.  Either way
+    the memo, bill and trace equal the layered path's."""
+    runs = []
+    for enabled in (False, True):
+        obs = Observability(trace_sink=RecordingSink(), metrics=MetricsRegistry())
+        with kernel_switch(enabled):
+            sim = SimulatedMicroblogClient(tagged_platform, obs=obs)
+            obs.bind_clock(sim.clock)
+            client = CachingClient(
+                ResilientClient(FaultInjectingClient(sim, HOSTILE, obs=obs), obs=obs), obs=obs
+            )
+            context = QueryContext(client, count_users(keyword), obs=obs)
+            if enabled:
+                assert context.kernel._log_exact is log_exact
+            context.first_mentions(list(range(300)))
+        runs.append(
+            (
+                dict(context._first_mentions), sim.meter.by_kind(),
+                "\n".join(trace_lines(obs.trace_records())),
+            )
+        )
+    assert runs[1] == runs[0]
+    assert sum(t is not None for t in runs[0][0].values()) >= 300 // 7
